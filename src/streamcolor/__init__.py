@@ -22,7 +22,6 @@ from .core import (
     StreamMeta,
     measure_max_degree,
     open_stream,
-    run_pass,
 )
 from .corpus import FAMILIES, ORDERS, GenSpec, generate, shuffle_order
 from .delta_color import (
@@ -47,7 +46,6 @@ from .oracle import (
 )
 from .peel import (
     LayerPartition,
-    OrientedView,
     PeelStalled,
     PeelState,
     max_rounds_bound,
@@ -76,7 +74,6 @@ __all__ = [
     "MonochromeSubgraphs",
     "ORDERS",
     "OnlineColorState",
-    "OrientedView",
     "PeelStalled",
     "PeelState",
     "PhasePartition",
@@ -102,7 +99,6 @@ __all__ = [
     "peel_threshold",
     "run_arboricity_coloring",
     "run_delta_coloring",
-    "run_pass",
     "run_sweep",
     "shuffle_order",
     "verify_proper",

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EdgeStream, StoredGraph, run_pass
+from .core import EdgeStream, StoredGraph
 from .delta_color import DEFAULT_C
 from .oracle import Coloring
-from .peel import LayerPartition, OrientedView, PeelStalled, PeelState
+from .peel import LayerPartition, PeelStalled, PeelState
 from .seeding import PHASE1, rng_for
 
 
@@ -62,23 +62,26 @@ def per_class_out_bound(n: int, eps_prime: float, c: float) -> float:
 
 
 class MonochromeSubgraphs:
-    """Stream sink keeping exactly the same-class edges, one StoredGraph per class."""
+    """Stream consumer keeping exactly the same-class edges, one StoredGraph per class."""
 
-    def __init__(self, n: int, ell: int, class_of: list[int]):
+    def __init__(self, n: int, ell: int, class_of: np.ndarray | list[int]):
         self.n = n
         self.ell = ell
-        self.class_of = class_of
+        self.class_of = np.asarray(class_of, dtype=np.int64)
         self.subgraphs = [StoredGraph(n) for _ in range(ell)]
 
-    def consume(self, u: int, v: int) -> None:
+    def consume(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Store the chunk's same-class edges, in stream order."""
         cls = self.class_of
-        cu = cls[u]
-        if cu == cls[v]:
-            self.subgraphs[cu - 1].add_edge(u, v)
+        same = cls[u] == cls[v]
+        u, v = u[same], v[same]
+        graphs = self.subgraphs
+        for a, b, c in zip(u.tolist(), v.tolist(), cls[u].tolist()):
+            graphs[c - 1].add_edge(a, b)
 
     def members(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.ell)]
-        for v, c in enumerate(self.class_of):
+        for v, c in enumerate(self.class_of.tolist()):
             out[c - 1].append(v)
         return out
 
@@ -89,17 +92,17 @@ class MonochromeSubgraphs:
         return sum(g.peak_stored_edges for g in self.subgraphs)
 
 
-def compute_out_degrees(mono: MonochromeSubgraphs, view: OrientedView) -> list[int]:
+def compute_out_degrees(mono: MonochromeSubgraphs, lp: LayerPartition) -> list[int]:
     """Max orientation out-degree inside each class subgraph (0 when empty)."""
-    layer = view.lp.layer
+    key = lp.key
     out: list[int] = []
     for g in mono.subgraphs:
         best = 0
         for v, nbrs in g.adjacency_items():
-            kv = (layer[v], v)
+            kv = key(v)
             cnt = 0
             for w in nbrs:
-                if (layer[w], w) > kv:
+                if key(w) > kv:
                     cnt += 1
             if cnt > best:
                 best = cnt
@@ -109,7 +112,7 @@ def compute_out_degrees(mono: MonochromeSubgraphs, view: OrientedView) -> list[i
 
 def _color_against_out_neighbors(
     g: StoredGraph,
-    view: OrientedView,
+    lp: LayerPartition,
     vertices,
     palette_start: int,
     palette_len: int,
@@ -120,13 +123,13 @@ def _color_against_out_neighbors(
     A vertex's out-neighbors all have larger keys, hence are colored already;
     avoiding them suffices because in-neighbors in turn avoid this vertex.
     """
-    layer = view.lp.layer
-    order = sorted(vertices, key=lambda v: (layer[v], v), reverse=True)
+    key = lp.key
+    order = sorted(vertices, key=key, reverse=True)
     for v in order:
-        kv = (layer[v], v)
+        kv = key(v)
         used = set()
         for w in g.neighbors(v):
-            if (layer[w], w) > kv:
+            if key(w) > kv:
                 used.add(assignment[w])
         color = palette_start
         while color in used:
@@ -142,10 +145,9 @@ def offline_dag_color(g: StoredGraph, lp: LayerPartition, palette: range) -> Col
     Needs len(palette) >= max out-degree + 1; the greedy scan then never
     falls off the end. Vertices with no stored edges take the first color.
     """
-    view = OrientedView(lp)
     assignment = [-1] * g.n
     _color_against_out_neighbors(
-        g, view, range(g.n), palette.start, len(palette), assignment
+        g, lp, range(g.n), palette.start, len(palette), assignment
     )
     return Coloring(assignment=assignment, palette_size=len(palette))
 
@@ -181,19 +183,20 @@ def run_arboricity_coloring(
     cfg = derive_config(stream.n, alpha, epsilon, c, seed)
     n = cfg.n
     rng = rng_for(seed, PHASE1)
-    class_of: list[int] = rng.integers(1, cfg.ell + 1, size=n, dtype=np.int64).tolist()
+    class_of = rng.integers(1, cfg.ell + 1, size=n, dtype=np.int64)
     mono = MonochromeSubgraphs(n, cfg.ell, class_of)
     ps = PeelState(n, alpha, cfg.gamma)
     before = stream.pass_count
     m = stream.m
     try:
-        if ps.active_list:
+        if ps.active_count:
             # pass 1 feeds the collector and peel round 1 together
-            m = run_pass(stream, (mono.consume, ps.consume))
+            for u, v in stream.pass_chunks():
+                mono.consume(u, v)
+                ps.consume(u, v)
             ps.finish_round()
-        while ps.active_list:
-            run_pass(stream, ps.consume)
-            ps.finish_round()
+        while ps.active_count:
+            ps.run_round(stream)
     except PeelStalled as exc:
         exc.metrics = ArbRunMetrics(
             n=n, m=m, ell=cfg.ell, k=ps.rounds, passes=stream.pass_count - before,
@@ -202,14 +205,13 @@ def run_arboricity_coloring(
         )
         raise
     lp = ps.partition()
-    view = OrientedView(lp)
-    out_degrees = compute_out_degrees(mono, view)
+    out_degrees = compute_out_degrees(mono, lp)
     assignment = [-1] * n
     base = 0
     for i, members in enumerate(mono.members()):
         width = out_degrees[i] + 1
         _color_against_out_neighbors(
-            mono.subgraphs[i], view, members, base, width, assignment
+            mono.subgraphs[i], lp, members, base, width, assignment
         )
         base += width
     coloring = Coloring(assignment=assignment, palette_size=base)

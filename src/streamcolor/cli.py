@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .arb_color import run_arboricity_coloring
@@ -52,6 +53,8 @@ def read_coloring_file(path: str, n: int) -> Coloring:
                 raise StreamFormatError("non-integer field", line_no) from None
             if not (0 <= v < n):
                 raise StreamFormatError(f"vertex out of range [0, {n})", line_no)
+            if assignment[v] is not None:
+                raise StreamFormatError(f"vertex {v} is colored twice", line_no)
             assignment[v] = color
     missing = [v for v, c in enumerate(assignment) if c is None]
     if missing:
@@ -62,29 +65,10 @@ def read_coloring_file(path: str, n: int) -> Coloring:
 
 def _stored_from_stream(stream: EdgeStream) -> StoredGraph:
     g = StoredGraph(stream.n)
-    for u, v in stream.pass_edges():
-        g.add_edge(u, v)
+    for u, v in stream.pass_chunks():
+        for a, b in zip(u.tolist(), v.tolist()):
+            g.add_edge(a, b)
     return g
-
-
-def delta_metrics_payload(metrics) -> dict:
-    return {
-        "n": metrics.n, "m": metrics.m, "ell": metrics.ell, "r": metrics.r,
-        "passes": metrics.passes, "colors_used": metrics.colors_used,
-        "peak_stored_edges": metrics.peak_stored_edges,
-        "max_class_degree": metrics.max_class_degree,
-        "aborted": metrics.aborted, "seed": metrics.seed,
-    }
-
-
-def arb_metrics_payload(metrics) -> dict:
-    return {
-        "n": metrics.n, "m": metrics.m, "ell": metrics.ell, "k": metrics.k,
-        "passes": metrics.passes, "colors_used": metrics.colors_used,
-        "per_class_out_degree": metrics.per_class_out_degree,
-        "peak_stored_edges": metrics.peak_stored_edges,
-        "stalled": metrics.stalled, "seed": metrics.seed,
-    }
 
 
 def cmd_gen(args) -> int:
@@ -116,11 +100,11 @@ def cmd_color_delta(args) -> int:
     except ColoringAborted as exc:
         print(f"abort: {exc}", file=sys.stderr)
         if args.metrics and exc.metrics is not None:
-            _write_json(args.metrics, delta_metrics_payload(exc.metrics))
+            _write_json(args.metrics, asdict(exc.metrics))
         return 3
     write_coloring_file(args.output, coloring)
     if args.metrics:
-        _write_json(args.metrics, delta_metrics_payload(metrics))
+        _write_json(args.metrics, asdict(metrics))
     print(
         f"colored n={metrics.n} m={metrics.m} with {metrics.colors_used} colors "
         f"(ell={metrics.ell}, r={metrics.r}, passes={metrics.passes})"
@@ -149,11 +133,11 @@ def cmd_color_arb(args) -> int:
     except PeelStalled as exc:
         print(f"stall: {exc}", file=sys.stderr)
         if args.metrics and exc.metrics is not None:
-            _write_json(args.metrics, arb_metrics_payload(exc.metrics))
+            _write_json(args.metrics, asdict(exc.metrics))
         return 3
     write_coloring_file(args.output, coloring)
     if args.metrics:
-        _write_json(args.metrics, arb_metrics_payload(metrics))
+        _write_json(args.metrics, asdict(metrics))
     print(
         f"colored n={metrics.n} m={metrics.m} with {metrics.colors_used} colors "
         f"(ell={metrics.ell}, k={metrics.k}, passes={metrics.passes})"
@@ -282,6 +266,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (StreamFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a header declaring more vertices than fit in memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
-
-EdgeSink = Callable[[int, int], None]
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -79,13 +77,9 @@ class EdgeStream:
     def meta(self) -> StreamMeta:
         return StreamMeta(n=self.n, m=self.m)
 
-    def pass_edges(self) -> Iterator[tuple[int, int]]:
-        """One full traversal, edge by edge."""
-        self.pass_count += 1
-        yield from zip(self._u.tolist(), self._v.tolist())
-
     def pass_chunks(self, chunk_size: int = 1 << 16) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """One full traversal in array chunks (same accounting as pass_edges)."""
+        """One full traversal, as consecutive (u, v) int64 array chunks in
+        stream order. This is the only way to read the stream."""
         self.pass_count += 1
         u, v = self._u, self._v
         for lo in range(0, len(u), chunk_size):
@@ -142,31 +136,6 @@ def _parse_edge_file(path: Path) -> EdgeStream:
     u = np.asarray(us, dtype=np.int64)
     v = np.asarray(vs, dtype=np.int64)
     return EdgeStream(n, u, v, declared_m or None)
-
-
-def run_pass(stream: EdgeStream, consumers: EdgeSink | Sequence[EdgeSink]) -> int:
-    """Deliver every edge of one pass to each consumer, in stream order.
-
-    Returns the number of edges delivered. Fan-out lets several consumers
-    share a single traversal, which is how pass budgets are kept tight.
-    """
-    sinks: tuple[EdgeSink, ...]
-    if callable(consumers):
-        sinks = (consumers,)
-    else:
-        sinks = tuple(consumers)
-    count = 0
-    if len(sinks) == 1:
-        sink = sinks[0]
-        for u, v in stream.pass_edges():
-            sink(u, v)
-            count += 1
-    else:
-        for u, v in stream.pass_edges():
-            for sink in sinks:
-                sink(u, v)
-            count += 1
-    return count
 
 
 def measure_max_degree(stream: EdgeStream) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EdgeStream, StoredGraph, run_pass
+from .core import EdgeStream, StoredGraph
 from .oracle import Coloring
 from .seeding import PHASE1, rng_for
 
@@ -151,20 +151,25 @@ class OnlineColorState:
         self.slot: list[int] = [1] * n  # every vertex starts on slot 1
         self.subgraphs: list[StoredGraph] = [StoredGraph(n) for _ in range(partition.ell)]
         self.max_edge_cost = 0
-        self.max_probe_slack = 0  # max over edges of (cost - degree); bounded by r
         self._occ = [0] * (palettes.r + 1)  # slot occupancy scratch, stamp-cleared
         self._stamp = 0
 
-    def process_edge(self, u: int, v: int) -> None:
-        cls = self.class_of
-        cu = cls[u]
-        if cu != cls[v]:
-            return  # cross-class edges never conflict: palettes are disjoint
-        g = self.subgraphs[cu - 1]
-        g.add_edge(u, v)
+    def consume(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Process one chunk of the pass, edge by edge in stream order.
+
+        Cross-class edges are dropped up front: palettes are disjoint, so
+        they never conflict.
+        """
+        cls = self.partition.class_of
+        same = cls[u] == cls[v]
+        u, v = u[same], v[same]
+        graphs = self.subgraphs
         slot = self.slot
-        if slot[u] == slot[v]:
-            self._recolor(u, cu, g)
+        for a, b, c in zip(u.tolist(), v.tolist(), cls[u].tolist()):
+            g = graphs[c - 1]
+            g.add_edge(a, b)
+            if slot[a] == slot[b]:
+                self._recolor(a, c, g)
 
     def _recolor(self, u: int, class_id: int, g: StoredGraph) -> None:
         # smallest slot not held by any stored neighbor of u in its class
@@ -185,9 +190,6 @@ class OnlineColorState:
                 break
         if cost > self.max_edge_cost:
             self.max_edge_cost = cost
-        slack = cost - len(neighbors)
-        if slack > self.max_probe_slack:
-            self.max_probe_slack = slack
         if not chosen:
             raise ColoringAborted(u, class_id, len(neighbors), self.partition.seed)
         slot[u] = chosen
@@ -241,12 +243,13 @@ def run_delta_coloring(
     state = OnlineColorState(partition, palettes)
     before = stream.pass_count
     try:
-        m = run_pass(stream, state.process_edge)
+        for u, v in stream.pass_chunks():
+            state.consume(u, v)
     except ColoringAborted as exc:
         exc.metrics = state.metrics(m=stream.m, passes=stream.pass_count - before, aborted=True)
         raise
     coloring = state.coloring()
-    metrics = state.metrics(m=m, passes=stream.pass_count - before, aborted=False)
+    metrics = state.metrics(m=stream.m, passes=stream.pass_count - before, aborted=False)
     return coloring, metrics
 
 

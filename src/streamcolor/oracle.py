@@ -11,7 +11,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .core import EdgeStream, StoredGraph, run_pass
+import numpy as np
+
+from .core import EdgeStream, StoredGraph
 
 
 @dataclass
@@ -40,23 +42,27 @@ def verify_proper(g: StoredGraph | EdgeStream, coloring: Coloring) -> list[tuple
     """All edges whose endpoints share a color (empty list means proper).
 
     Accepts a stored graph or a stream; the stream route costs one pass.
-    Duplicate stream edges report once.
+    Duplicate stream edges report once, as (min, max), in the order of their
+    first appearance in the stream.
     """
     n = g.n
     col = coloring.assignment
     if len(col) != n:
         raise ValueError(f"coloring missing a vertex: has {len(col)} entries for n={n}")
-    bad: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     if isinstance(g, EdgeStream):
-        def sink(u: int, v: int) -> None:
-            if col[u] == col[v]:
-                key = (u, v) if u < v else (v, u)
-                if key not in seen:
-                    seen.add(key)
-                    bad.append(key)
-        run_pass(g, sink)
-        return bad
+        # dense color ids, so colors of any size compare as int64
+        ids: dict[int, int] = {}
+        code = np.fromiter((ids.setdefault(c, len(ids)) for c in col), dtype=np.int64, count=n)
+        found = [np.empty(0, dtype=np.int64)]
+        for u, v in g.pass_chunks():
+            same = code[u] == code[v]
+            u, v = u[same], v[same]
+            found.append(np.minimum(u, v) * n + np.maximum(u, v))
+        edges = np.concatenate(found)
+        _, first = np.unique(edges, return_index=True)
+        edges = edges[np.sort(first)]
+        return list(zip((edges // n).tolist(), (edges % n).tolist()))
+    bad: list[tuple[int, int]] = []
     for u, v in g.edges():
         if col[u] == col[v]:
             bad.append((u, v))

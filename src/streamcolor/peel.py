@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import EdgeStream, run_pass
+import numpy as np
+
+from .core import EdgeStream
 
 
 def peel_threshold(alpha: int | float, gamma: float) -> int:
@@ -78,6 +80,7 @@ class LayerPartition:
         return len(self.layer)
 
     def key(self, v: int) -> tuple[int, int]:
+        """Orientation key: every edge points from the smaller key to the larger."""
         return (self.layer[v], v)
 
 
@@ -85,8 +88,8 @@ class PeelState:
     """Round-by-round peeling; the caller drives one stream pass per round.
 
     Keeps only O(n) scalars per vertex (active flag, round degree, layer),
-    never edges. consume() is the per-edge sink for run_pass; finish_round()
-    peels and resets counters.
+    never edges. consume() takes each chunk of a pass; finish_round() peels
+    and resets counters.
     """
 
     def __init__(self, n: int, alpha: int | float, gamma: float):
@@ -94,61 +97,57 @@ class PeelState:
         self.alpha = alpha
         self.gamma = gamma
         self.threshold = peel_threshold(alpha, gamma)
-        self.active = bytearray(b"\x01") * n if n else bytearray()
-        self.deg = [0] * n
-        self.layer = [0] * n
-        self.witnessed = [0] * n
-        self.active_list = list(range(n))
+        self.active = np.ones(n, dtype=bool)
+        self.deg = np.zeros(n, dtype=np.int64)
+        self.layer = np.zeros(n, dtype=np.int64)
+        self.witnessed = np.zeros(n, dtype=np.int64)
+        self.active_ids = np.arange(n, dtype=np.int64)
         self.rounds = 0
 
-    def consume(self, u: int, v: int) -> None:
-        a = self.active
-        if a[u] and a[v]:
-            d = self.deg
-            d[u] += 1
-            d[v] += 1
+    def consume(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Count each edge with both endpoints active toward both degrees."""
+        both = self.active[u] & self.active[v]
+        self.deg += np.bincount(np.concatenate((u[both], v[both])), minlength=self.n)
 
     def finish_round(self) -> int:
         """Peel everything at or under threshold; returns how many moved."""
         self.rounds += 1
-        thr = self.threshold
-        deg = self.deg
-        layer = self.layer
-        wit = self.witnessed
-        active = self.active
-        keep: list[int] = []
-        peeled = 0
-        for v in self.active_list:
-            dv = deg[v]
-            if dv <= thr:
-                layer[v] = self.rounds
-                wit[v] = dv
-                active[v] = 0
-                peeled += 1
-            else:
-                keep.append(v)
-                deg[v] = 0
-        if peeled == 0 and keep:
-            raise PeelStalled(self.rounds, len(keep), thr, self.alpha, self.gamma)
-        self.active_list = keep
-        return peeled
+        ids = self.active_ids
+        deg = self.deg[ids]
+        low = deg <= self.threshold
+        gone = ids[low]
+        keep = ids[~low]
+        if not len(gone) and len(keep):
+            raise PeelStalled(self.rounds, len(keep), self.threshold, self.alpha, self.gamma)
+        self.layer[gone] = self.rounds
+        self.witnessed[gone] = deg[low]
+        self.active[gone] = False
+        self.deg[:] = 0
+        self.active_ids = keep
+        return len(gone)
 
     @property
     def active_count(self) -> int:
-        return len(self.active_list)
+        return len(self.active_ids)
 
     def partition(self) -> LayerPartition:
-        if self.active_list:
+        if self.active_count:
             raise RuntimeError("peeling has not finished; active vertices remain")
         return LayerPartition(
             k=self.rounds,
-            layer=self.layer,
+            layer=self.layer.tolist(),
             alpha=self.alpha,
             gamma=self.gamma,
             threshold=self.threshold,
-            witnessed_degree=self.witnessed,
+            witnessed_degree=self.witnessed.tolist(),
             passes=self.rounds,
         )
+
+    def run_round(self, stream: EdgeStream) -> int:
+        """One pass of degree counting, then finish_round()."""
+        for u, v in stream.pass_chunks():
+            self.consume(u, v)
+        return self.finish_round()
 
 
 def peel(stream: EdgeStream, alpha: int | float, gamma: float) -> LayerPartition:
@@ -158,36 +157,18 @@ def peel(stream: EdgeStream, alpha: int | float, gamma: float) -> LayerPartition
     the graph densities actually encountered.
     """
     state = PeelState(stream.n, alpha, gamma)
-    while state.active_list:
-        run_pass(stream, state.consume)
-        state.finish_round()
+    while state.active_count:
+        state.run_round(stream)
     return state.partition()
 
 
 def orient(u: int, v: int, lp: LayerPartition) -> tuple[int, int]:
-    """Direct edge (u, v) from the smaller (layer, id) key to the larger."""
+    """Direct edge (u, v) from the smaller lp.key to the larger."""
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
-    if (lp.layer[u], u) < (lp.layer[v], v):
+    if lp.key(u) < lp.key(v):
         return (u, v)
     return (v, u)
-
-
-@dataclass(frozen=True)
-class OrientedView:
-    """Pure comparator over a LayerPartition; stores nothing per edge."""
-
-    lp: LayerPartition
-
-    def key(self, v: int) -> tuple[int, int]:
-        return (self.lp.layer[v], v)
-
-    def points_forward(self, u: int, v: int) -> bool:
-        """True when the oriented edge runs u -> v."""
-        return (self.lp.layer[u], u) < (self.lp.layer[v], v)
-
-    def orient(self, u: int, v: int) -> tuple[int, int]:
-        return orient(u, v, self.lp)
 
 
 def measure_forward_degree(stream: EdgeStream, lp: LayerPartition) -> int:
@@ -197,16 +178,12 @@ def measure_forward_degree(stream: EdgeStream, lp: LayerPartition) -> int:
     peel guarantee bounds it by the threshold, so callers can assert
     measure_forward_degree(...) <= lp.threshold on certified instances.
     """
-    layer = lp.layer
-    counts = [0] * stream.n
-
-    def sink(u: int, v: int) -> None:
+    n = stream.n
+    layer = np.asarray(lp.layer, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    for u, v in stream.pass_chunks():
         lu = layer[u]
         lv = layer[v]
-        if lu >= lv:
-            counts[v] += 1
-        if lv >= lu:
-            counts[u] += 1
-
-    run_pass(stream, sink)
-    return max(counts, default=0)
+        counts += np.bincount(v[lu >= lv], minlength=n)
+        counts += np.bincount(u[lv >= lu], minlength=n)
+    return int(counts.max()) if n else 0

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .arb_color import run_arboricity_coloring
@@ -58,25 +58,33 @@ def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+def _require(mapping: dict, key: str, where: str):
+    if key not in mapping:
+        raise ValueError(f"{where} needs a {key!r}")
+    return mapping[key]
+
+
 def expand_spec(doc: dict) -> list[SweepCell]:
     """Cross the grid: epsilon, c and seed entries may be scalars or lists."""
     cells: list[SweepCell] = []
     for run in doc.get("runs", []):
-        family = run["family"]
+        family = _require(run, "family", "each sweep run")
+        n = int(_require(run, "n", "each sweep run"))
         if "algorithm" not in run:
             raise ValueError("each sweep run needs an 'algorithm' (delta or arb)")
         algorithm = run["algorithm"]
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
         seeds = run.get("seeds", [0])
-        if isinstance(seeds, dict):  # {"start": a, "count": k}
-            seeds = list(range(seeds["start"], seeds["start"] + seeds["count"]))
+        if isinstance(seeds, dict):
+            start = _require(seeds, "start", "a 'seeds' range")
+            seeds = list(range(start, start + _require(seeds, "count", "a 'seeds' range")))
         for epsilon in _as_list(run.get("epsilon", 0.5)):
             for c in _as_list(run.get("c", 1.0)):
                 for seed in _as_list(seeds):
                     cells.append(SweepCell(
                         family=family,
-                        n=int(run["n"]),
+                        n=n,
                         m=run.get("m"),
                         alpha=run.get("alpha"),
                         order=run.get("order", "as-generated"),
@@ -110,13 +118,6 @@ def _run_cell(cell: SweepCell, edges, meta) -> dict:
             )
         except ColoringAborted as exc:
             metrics = exc.metrics
-        payload = {
-            "n": metrics.n, "m": metrics.m, "ell": metrics.ell, "r": metrics.r,
-            "passes": metrics.passes, "colors_used": metrics.colors_used,
-            "peak_stored_edges": metrics.peak_stored_edges,
-            "max_class_degree": metrics.max_class_degree,
-            "aborted": metrics.aborted, "seed": metrics.seed,
-        }
         failed = metrics.aborted
     else:
         try:
@@ -125,15 +126,8 @@ def _run_cell(cell: SweepCell, edges, meta) -> dict:
             )
         except PeelStalled as exc:
             metrics = exc.metrics
-        payload = {
-            "n": metrics.n, "m": metrics.m, "ell": metrics.ell, "k": metrics.k,
-            "passes": metrics.passes, "colors_used": metrics.colors_used,
-            "per_class_out_degree": metrics.per_class_out_degree,
-            "peak_stored_edges": metrics.peak_stored_edges,
-            "stalled": metrics.stalled, "seed": metrics.seed,
-        }
         failed = metrics.stalled
-    return {"config": config, "metrics": payload, "failed": failed}
+    return {"config": config, "metrics": asdict(metrics), "failed": failed}
 
 
 def _record_to_row(record: dict) -> dict:

@@ -14,7 +14,6 @@ from streamcolor import (
     GenSpec,
     LayerPartition,
     MonochromeSubgraphs,
-    OrientedView,
     PeelStalled,
     StoredGraph,
     compute_out_degrees,
@@ -88,12 +87,16 @@ def test_color_budget_arithmetic_at_pinned_combos(n, alpha, epsilon):
     assert cfg.ell * (int(cap) + 1) <= (2 + epsilon) * alpha
 
 
+def chunk(*edges):
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return arr[:, 0], arr[:, 1]
+
+
 def test_monochrome_subgraphs_sink():
     mono = MonochromeSubgraphs(4, 2, class_of=[1, 2, 1, 1])
-    mono.consume(0, 1)  # cross-class, dropped
+    mono.consume(*chunk((0, 1)))  # cross-class, dropped
     assert mono.stored_edges() == 0
-    mono.consume(0, 2)
-    mono.consume(2, 3)
+    mono.consume(*chunk((0, 2), (0, 1), (2, 3)))
     assert mono.stored_edges() == 2
     assert mono.peak_stored_edges() == 2
     assert mono.subgraphs[0].stored_edges == 2
@@ -102,15 +105,13 @@ def test_monochrome_subgraphs_sink():
 
 def test_compute_out_degrees_examples():
     lp = flat_partition(3)
-    view = OrientedView(lp)
     mono = MonochromeSubgraphs(3, 1, [1, 1, 1])
-    assert compute_out_degrees(mono, view) == [0]  # nothing stored yet
-    mono.consume(0, 1)
-    assert compute_out_degrees(mono, view) == [1]
-    mono.consume(0, 2)
-    mono.consume(1, 2)
+    assert compute_out_degrees(mono, lp) == [0]  # nothing stored yet
+    mono.consume(*chunk((0, 1)))
+    assert compute_out_degrees(mono, lp) == [1]
+    mono.consume(*chunk((0, 2), (1, 2)))
     # triangle on one layer: vertex 0 points at both higher ids
-    assert compute_out_degrees(mono, view) == [2]
+    assert compute_out_degrees(mono, lp) == [2]
 
 
 def test_offline_dag_color_path():

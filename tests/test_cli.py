@@ -11,8 +11,8 @@ from streamcolor.cli import main, read_coloring_file
 K4_FILE = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
 DELTA_METRIC_KEYS = {
-    "n", "m", "ell", "r", "passes", "colors_used",
-    "peak_stored_edges", "max_class_degree", "aborted", "seed",
+    "n", "m", "ell", "r", "passes", "colors_used", "peak_stored_edges",
+    "max_class_degree", "per_class_degree", "aborted", "seed", "max_edge_cost",
 }
 ARB_METRIC_KEYS = {
     "n", "m", "ell", "k", "passes", "colors_used",
@@ -70,6 +70,15 @@ def test_maxdeg(k4_path, capsys):
 
 def test_maxdeg_missing_file(tmp_path, capsys):
     assert main(["maxdeg", "-i", str(tmp_path / "nope.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_maxdeg_header_too_large_to_allocate(tmp_path, capsys):
+    # 10**18 int64 counters are 8 EB, beyond any address space, so the
+    # allocation fails at once instead of paging in
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"{10**18} 1\n0 1\n")
+    assert main(["maxdeg", "-i", str(huge)]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -167,6 +176,14 @@ def test_verify_rejects_partial_coloring(k4_path, tmp_path, capsys):
     assert "missing a vertex" in capsys.readouterr().err
 
 
+def test_verify_rejects_vertex_colored_twice(k4_path, tmp_path, capsys):
+    col = tmp_path / "col.txt"
+    # read last-wins, line 5 would hide the conflict between 0 and 1 on line 2
+    col.write_text("0 2\n1 2\n2 4\n3 1\n1 3\n")
+    assert main(["verify", "-i", k4_path, "-c", str(col)]) == 2
+    assert "line 5: vertex 1 is colored twice" in capsys.readouterr().err
+
+
 def test_read_coloring_file_roundtrip(tmp_path):
     path = tmp_path / "col.txt"
     path.write_text("0 5\n1 0\n2 5\n")
@@ -262,6 +279,21 @@ def test_sweep_command(tmp_path, capsys):
     assert main(["sweep", "-s", str(spec), "-o", str(out_dir)]) == 0
     assert (out_dir / "summary.csv").exists()
     assert "summary.csv" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "run, key",
+    [
+        ({"algorithm": "delta", "n": 10}, "'family'"),
+        ({"family": "complete", "n": 5, "algorithm": "delta", "seeds": {"start": 0}}, "'count'"),
+    ],
+)
+def test_sweep_malformed_spec_is_an_input_error(tmp_path, capsys, run, key):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"runs": [run]}))
+    assert main(["sweep", "-s", str(spec), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
 
 
 def test_sweep_requires_output_dir(tmp_path, capsys):

@@ -13,23 +13,31 @@ from streamcolor import (
     StreamFormatError,
     measure_max_degree,
     open_stream,
-    run_pass,
 )
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def one_pass(stream: EdgeStream, chunk_size: int = 1 << 16) -> list[tuple[int, int]]:
+    """Every edge of one traversal, flattened from its chunks."""
+    out = []
+    for u, v in stream.pass_chunks(chunk_size=chunk_size):
+        out.extend(zip(u.tolist(), v.tolist()))
+    return out
 
 
 def test_from_edges_roundtrip():
     s = EdgeStream.from_edges(4, K4_EDGES)
     assert s.n == 4
     assert s.m == 6
-    assert list(s.pass_edges()) == K4_EDGES
+    assert one_pass(s) == K4_EDGES
 
 
 def test_from_edges_empty():
     s = EdgeStream.from_edges(3, [])
     assert s.m == 0
-    assert list(s.pass_edges()) == []
+    assert one_pass(s) == []
+    assert s.pass_count == 1  # an empty traversal is still a pass
 
 
 def test_from_edges_rejects_self_loop():
@@ -52,8 +60,8 @@ def test_from_edges_rejects_bad_shape():
 def test_pass_count_increments_per_traversal():
     s = EdgeStream.from_edges(4, K4_EDGES)
     assert s.pass_count == 0
-    list(s.pass_edges())
-    list(s.pass_edges())
+    one_pass(s)
+    one_pass(s, chunk_size=1)
     assert s.pass_count == 2
     for _ in s.pass_chunks():
         pass
@@ -63,47 +71,35 @@ def test_pass_count_increments_per_traversal():
 def test_started_pass_is_a_spent_pass():
     # abandoning a traversal early still costs the pass
     s = EdgeStream.from_edges(4, K4_EDGES)
-    it = s.pass_edges()
+    it = s.pass_chunks(chunk_size=1)
     next(it)
     assert s.pass_count == 1
 
 
-def test_pass_chunks_match_pass_edges():
+def test_pass_chunks_flatten_to_stream_order():
     edges = [(i, (i + 1) % 50) for i in range(50)]
     s = EdgeStream.from_edges(50, edges)
-    flat = []
-    for u, v in s.pass_chunks(chunk_size=7):
-        flat.extend(zip(u.tolist(), v.tolist()))
-    assert flat == edges
+    for chunk_size in (1, 7, 50, 1 << 16):
+        assert one_pass(s, chunk_size) == edges
+
+
+def test_pass_chunks_deliver_m_edges_in_one_pass():
+    s = EdgeStream.from_edges(4, K4_EDGES)
+    sizes = [(len(u), len(v)) for u, v in s.pass_chunks(chunk_size=4)]
+    assert sizes == [(4, 4), (2, 2)]
+    assert s.pass_count == 1
 
 
 def test_replay_determinism():
     s = EdgeStream.from_edges(4, K4_EDGES)
-    assert list(s.pass_edges()) == list(s.pass_edges())
+    assert one_pass(s) == one_pass(s, chunk_size=5) == one_pass(s)
 
 
 def test_endpoint_order_preserved():
     # first-listed endpoint matters to the recoloring rule, so (1, 0) must
     # not be normalized to (0, 1)
     s = EdgeStream.from_edges(2, [(1, 0)])
-    assert list(s.pass_edges()) == [(1, 0)]
-
-
-def test_run_pass_single_consumer_counts_edges():
-    s = EdgeStream.from_edges(4, K4_EDGES)
-    got = []
-    delivered = run_pass(s, lambda u, v: got.append((u, v)))
-    assert delivered == 6
-    assert got == K4_EDGES
-    assert s.pass_count == 1
-
-
-def test_run_pass_fanout_shares_one_traversal():
-    s = EdgeStream.from_edges(4, K4_EDGES)
-    a, b = [], []
-    run_pass(s, (lambda u, v: a.append((u, v)), lambda u, v: b.append((u, v))))
-    assert a == b == K4_EDGES
-    assert s.pass_count == 1
+    assert one_pass(s) == [(1, 0)]
 
 
 def test_open_stream_in_memory_needs_n():
@@ -118,7 +114,7 @@ def test_open_stream_parses_file(tmp_path):
     p.write_text("# a comment\n4 3\n0 1\n\n1 2\n# another\n2 3\n")
     s = open_stream(p)
     assert (s.n, s.m) == (4, 3)
-    assert list(s.pass_edges()) == [(0, 1), (1, 2), (2, 3)]
+    assert one_pass(s) == [(0, 1), (1, 2), (2, 3)]
     # the validating read does not count as a pass
     assert s.pass_count == 1
 

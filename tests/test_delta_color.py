@@ -105,14 +105,14 @@ def test_process_edge_discards_cross_class():
         c=1.0, epsilon=0.5, delta=3,
     )
     state = OnlineColorState(part, ClassPalettes(ell=2, r=5))
-    state.process_edge(0, 1)
+    state.consume(np.asarray([0]), np.asarray([1]))
     assert state.peak_stored_edges() == 0
     assert state.slot == [1, 1]  # nobody recolors
 
 
 def test_process_edge_moves_first_endpoint():
     state = single_class_state(2, r=5)
-    state.process_edge(0, 1)
+    state.consume(np.asarray([0]), np.asarray([1]))
     assert state.slot == [2, 1]
     assert state.subgraphs[0].stored_edges == 1
 

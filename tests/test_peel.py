@@ -13,7 +13,6 @@ from streamcolor import (
     EdgeStream,
     GenSpec,
     LayerPartition,
-    OrientedView,
     PeelStalled,
     PeelState,
     StoredGraph,
@@ -159,11 +158,9 @@ def test_orient_prefers_lower_layer_then_lower_id():
     assert orient(0, 1, lp) == (0, 1)
     assert orient(1, 0, lp) == (0, 1)
     assert orient(7, 3, lp) == (3, 7)  # same layer: id breaks the tie
-    view = OrientedView(lp)
-    assert view.points_forward(0, 1)
-    assert not view.points_forward(1, 0)
-    assert view.orient(7, 3) == (3, 7)
-    assert view.key(1) == (2, 1)
+    assert lp.key(0) < lp.key(1)
+    assert lp.key(1) == (2, 1)
+    assert lp.key(3) < lp.key(7)
 
 
 def test_orient_rejects_self_loop():
