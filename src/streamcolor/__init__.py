@@ -9,8 +9,6 @@ space accounting, seeded corpus generators, and offline oracles.
 from .arb_color import (
     ArbRunConfig,
     ArbRunMetrics,
-    MonochromeSubgraphs,
-    compute_out_degrees,
     derive_config,
     offline_dag_color,
     run_arboricity_coloring,
@@ -71,7 +69,6 @@ __all__ = [
     "FAMILIES",
     "GenSpec",
     "LayerPartition",
-    "MonochromeSubgraphs",
     "ORDERS",
     "OnlineColorState",
     "PeelStalled",
@@ -82,7 +79,6 @@ __all__ = [
     "StreamMeta",
     "build_phase1",
     "class_count",
-    "compute_out_degrees",
     "degeneracy",
     "derive_config",
     "generate",

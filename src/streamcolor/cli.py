@@ -20,7 +20,7 @@ from .corpus import FAMILIES, ORDERS, GenSpec, generate
 from .delta_color import DEFAULT_C, ColoringAborted, run_delta_coloring
 from .oracle import Coloring, degeneracy, greedy_color, nash_williams_arboricity, verify_proper
 from .peel import PeelStalled, peel
-from .sweep import run_sweep
+from .sweep import expand_spec, run_sweep
 
 
 def _write_lines(path: str, lines) -> None:
@@ -180,6 +180,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    expand_spec(doc)  # reject a spec of the wrong shape before reading output_dir
     out_dir = args.output or doc.get("output_dir")
     if not out_dir:
         raise ValueError("sweep needs an output directory (-o or 'output_dir' in the spec)")

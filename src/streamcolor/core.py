@@ -2,9 +2,10 @@
 
 An EdgeStream is a fixed, re-traversable edge sequence with pass accounting:
 the order is committed before any algorithm randomness is drawn, and every
-traversal replays exactly the same sequence. StoredGraph is the in-memory
-adjacency the algorithms are allowed to keep; it deduplicates edges and
-tracks a stored-edge high-water mark so space claims are checkable.
+traversal replays exactly the same sequence. StoredGraph is the incremental
+in-memory adjacency of the one-pass coloring and the oracles; it
+deduplicates edges and tracks a stored-edge high-water mark so space claims
+are checkable.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class StoredGraph:
     """Undirected adjacency with dedup and a stored-edge high-water mark.
 
     add_edge is idempotent: a repeated edge changes nothing, so stream noise
-    cannot inflate space accounting. The peak survives clear() by design.
+    cannot inflate space accounting.
     """
 
     def __init__(self, n: int):
@@ -195,10 +196,6 @@ class StoredGraph:
         if self.stored_edges > self.peak_stored_edges:
             self.peak_stored_edges = self.stored_edges
 
-    def has_edge(self, u: int, v: int) -> bool:
-        s = self._adj.get(u)
-        return s is not None and v in s
-
     def neighbors(self, v: int) -> frozenset[int] | set[int]:
         """Read-only view; do not mutate."""
         return self._adj.get(v, _EMPTY)
@@ -210,17 +207,9 @@ class StoredGraph:
     def max_degree(self) -> int:
         return max((len(s) for s in self._adj.values()), default=0)
 
-    def adjacency_items(self) -> Iterator[tuple[int, set[int]]]:
-        return iter(self._adj.items())
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each stored edge once, as (u, v) with u < v, in sorted order."""
         for u in sorted(self._adj):
             for v in sorted(self._adj[u]):
                 if u < v:
                     yield (u, v)
-
-    def clear(self) -> None:
-        """Drop all edges; the high-water mark stays where it was."""
-        self._adj.clear()
-        self.stored_edges = 0

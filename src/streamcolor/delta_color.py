@@ -29,11 +29,13 @@ from .seeding import PHASE1, rng_for
 DEFAULT_C = 66 * math.log(2)  # = 66 / log2(e) ~= 45.7477
 
 
-def _validate_params(n: int, delta: int, epsilon: float, c: float) -> None:
+def validate_run_params(n: int, bound_name: str, bound: int, epsilon: float, c: float) -> None:
+    """Reject parameters neither coloring run accepts; bound_name ('delta'
+    or 'alpha') names the degree or arboricity bound in the message."""
     if n < 2:
         raise ValueError("need n >= 2 (log2 n must be positive)")
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    if bound < 0:
+        raise ValueError(f"{bound_name} must be non-negative")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if c <= 0:
@@ -42,14 +44,14 @@ def _validate_params(n: int, delta: int, epsilon: float, c: float) -> None:
 
 def class_count(n: int, delta: int, epsilon: float, c: float) -> int:
     """Number of random classes ell; at least 1 (single class = whole graph)."""
-    _validate_params(n, delta, epsilon, c)
+    validate_run_params(n, "delta", delta, epsilon, c)
     raw = epsilon * delta / (2.0 * c * math.log2(n))
     return max(1, math.ceil(raw))
 
 
 def palette_size(n: int, epsilon: float, c: float) -> int:
     """Slots per class, r."""
-    _validate_params(n, 0, epsilon, c)
+    validate_run_params(n, "delta", 0, epsilon, c)
     return math.ceil((1.0 + 2.0 / epsilon) * c * math.log2(n)) + 1
 
 
@@ -82,12 +84,6 @@ class ClassPalettes:
 
     def global_id(self, class_id: int, slot: int) -> int:
         return (class_id - 1) * self.r + slot
-
-    def range_of(self, class_id: int) -> range:
-        return range((class_id - 1) * self.r + 1, class_id * self.r + 1)
-
-    def class_of_color(self, color: int) -> int:
-        return (color - 1) // self.r + 1
 
 
 def build_phase1(

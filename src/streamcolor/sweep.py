@@ -66,8 +66,13 @@ def _require(mapping: dict, key: str, where: str):
 
 def expand_spec(doc: dict) -> list[SweepCell]:
     """Cross the grid: epsilon, c and seed entries may be scalars or lists."""
+    if not isinstance(doc, dict):
+        raise ValueError("a sweep spec must be a JSON object")
+    runs = doc.get("runs", [])
+    if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
+        raise ValueError("a sweep spec's 'runs' must be a list of objects")
     cells: list[SweepCell] = []
-    for run in doc.get("runs", []):
+    for run in runs:
         family = _require(run, "family", "each sweep run")
         n = int(_require(run, "n", "each sweep run"))
         if "algorithm" not in run:
@@ -78,7 +83,10 @@ def expand_spec(doc: dict) -> list[SweepCell]:
         seeds = run.get("seeds", [0])
         if isinstance(seeds, dict):
             start = _require(seeds, "start", "a 'seeds' range")
-            seeds = list(range(start, start + _require(seeds, "count", "a 'seeds' range")))
+            count = _require(seeds, "count", "a 'seeds' range")
+            if not (isinstance(start, int) and isinstance(count, int)):
+                raise ValueError("a 'seeds' range needs integer 'start' and 'count'")
+            seeds = list(range(start, start + count))
         for epsilon in _as_list(run.get("epsilon", 0.5)):
             for c in _as_list(run.get("c", 1.0)):
                 for seed in _as_list(seeds):

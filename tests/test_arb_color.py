@@ -13,10 +13,8 @@ from streamcolor import (
     EdgeStream,
     GenSpec,
     LayerPartition,
-    MonochromeSubgraphs,
     PeelStalled,
     StoredGraph,
-    compute_out_degrees,
     derive_config,
     generate,
     nash_williams_arboricity,
@@ -92,40 +90,46 @@ def chunk(*edges):
     return arr[:, 0], arr[:, 1]
 
 
-def test_monochrome_subgraphs_sink():
-    mono = MonochromeSubgraphs(4, 2, class_of=[1, 2, 1, 1])
-    mono.consume(*chunk((0, 1)))  # cross-class, dropped
-    assert mono.stored_edges() == 0
-    mono.consume(*chunk((0, 2), (0, 1), (2, 3)))
-    assert mono.stored_edges() == 2
-    assert mono.peak_stored_edges() == 2
-    assert mono.subgraphs[0].stored_edges == 2
-    assert mono.members() == [[0, 2, 3], [1]]
+def test_run_stores_each_same_class_pair_once():
+    # seed 1 draws classes [1 1 1 1 2 1 2 2]; (3, 4) and (5, 7) cross classes,
+    # and the repeats of (0, 1) and (2, 3), one of each swapped, store nothing
+    assert derive_config(8, 2, 3.0, 0.6, seed=1).ell == 2
+    edges = [(0, 1), (1, 0), (0, 1), (2, 3), (4, 6), (3, 4), (5, 7), (6, 7), (3, 2)]
+    coloring, metrics = run_arboricity_coloring(
+        EdgeStream.from_edges(8, edges), alpha=2, epsilon=3.0, c=0.6, seed=1
+    )
+    assert metrics.peak_stored_edges == 4
+    # with repeats counted, vertex 0 would point at 1 three times
+    assert metrics.per_class_out_degree == [1, 1]
+    assert verify_proper(EdgeStream.from_edges(8, edges), coloring) == []
 
 
-def test_compute_out_degrees_examples():
+def test_out_degree_profile_examples():
     lp = flat_partition(3)
-    mono = MonochromeSubgraphs(3, 1, [1, 1, 1])
-    assert compute_out_degrees(mono, lp) == [0]  # nothing stored yet
-    mono.consume(*chunk((0, 1)))
-    assert compute_out_degrees(mono, lp) == [1]
-    mono.consume(*chunk((0, 2), (1, 2)))
+    one = np.ones(3, dtype=np.int64)
+    assert out_degree_profile(*chunk((0, 1)), lp, one, 1).tolist() == [1]
+    triangle = chunk((0, 1), (0, 2), (1, 2))
     # triangle on one layer: vertex 0 points at both higher ids
-    assert compute_out_degrees(mono, lp) == [2]
+    assert out_degree_profile(*triangle, lp, one, 1).tolist() == [2]
+    # only same-class edges count: class 1 keeps (0, 2), class 2 is alone
+    assert out_degree_profile(*triangle, lp, np.array([1, 2, 1]), 2).tolist() == [1, 0]
 
 
 def test_offline_dag_color_path():
-    g = stored(3, [(0, 1), (1, 2)])
-    coloring = offline_dag_color(g, flat_partition(3), range(0, 2))
+    coloring = offline_dag_color(*chunk((0, 1), (1, 2)), flat_partition(3), np.ones(3), [1])
     assert coloring.assignment == [0, 1, 0]
     assert coloring.colors_used == 2
 
 
 def test_offline_dag_color_singleton_and_offset_palette():
-    single = offline_dag_color(stored(1, []), flat_partition(1), range(0, 1))
+    single = offline_dag_color(*chunk(), flat_partition(1), np.ones(1), [0])
     assert single.assignment == [0]
-    shifted = offline_dag_color(stored(3, [(0, 1), (1, 2)]), flat_partition(3), range(5, 7))
-    assert shifted.assignment == [5, 6, 5]
+    # class 2's path 2-3-4 colors in the block [2, 4) after class 1's [0, 2)
+    two_classes = offline_dag_color(
+        *chunk((0, 1), (2, 3), (3, 4)), flat_partition(5), np.array([1, 1, 2, 2, 2]), [1, 1]
+    )
+    assert two_classes.assignment == [1, 0, 2, 3, 2]
+    assert two_classes.palette_size == 4
 
 
 def test_offline_dag_color_respects_orientation():
@@ -135,16 +139,14 @@ def test_offline_dag_color_respects_orientation():
         k=2, layer=[1, 2, 2, 2], alpha=1, gamma=0.5,
         threshold=2, witnessed_degree=[0] * 4, passes=2,
     )
-    g = stored(4, [(0, 1), (0, 2), (0, 3)])
-    coloring = offline_dag_color(g, lp, range(0, 4))
+    coloring = offline_dag_color(*chunk((0, 1), (0, 2), (0, 3)), lp, np.ones(4), [3])
     assert coloring.assignment == [1, 0, 0, 0]
     assert coloring.colors_used == 2
 
 
 def test_offline_dag_color_rejects_small_palette():
-    g = stored(4, K4_EDGES)
     with pytest.raises(AssertionError, match="palette too small"):
-        offline_dag_color(g, flat_partition(4), range(0, 3))
+        offline_dag_color(*chunk(*K4_EDGES), flat_partition(4), np.ones(4), [2])
 
 
 def test_k4_trace():

@@ -17,7 +17,9 @@ from streamcolor import (
     EdgeStream,
     GenSpec,
     PeelStalled,
+    StoredGraph,
     build_phase1,
+    derive_config,
     generate,
     measure_forward_degree,
     measure_max_degree,
@@ -27,6 +29,7 @@ from streamcolor import (
     run_delta_coloring,
     verify_proper,
 )
+from streamcolor.seeding import PHASE1, rng_for
 
 CHUNK_SIZES = (1, 7, None)  # None: the default chunk size
 
@@ -95,6 +98,43 @@ def per_edge_peel(n: int, edges, threshold: int) -> tuple[list[int], list[int]]:
             layer[v], witnessed[v] = k, deg[v]
             active.discard(v)
     return layer, witnessed
+
+
+def class_draw(seed: int, ell: int, n: int) -> list[int]:
+    """Each vertex's class, drawn as run_arboricity_coloring draws it."""
+    return rng_for(seed, PHASE1).integers(1, ell + 1, size=n, dtype=np.int64).tolist()
+
+
+def same_class_graphs(n: int, edges, class_of, ell: int) -> list[StoredGraph]:
+    graphs = [StoredGraph(n) for _ in range(ell)]
+    for u, v in edges:
+        if class_of[u] == class_of[v]:
+            graphs[class_of[u] - 1].add_edge(u, v)
+    return graphs
+
+
+def per_class_dag_coloring(graphs, class_of, layer) -> tuple[list[int], list[int]]:
+    """Per-class max count of neighbors with a larger (layer, id), and the
+    first-free coloring in decreasing (layer, id) order, class i in the block
+    of out-degree + 1 colors that follows class i-1's."""
+    n = len(class_of)
+
+    def key(v):
+        return (layer[v], v)
+
+    def out(g, v):
+        return [w for w in g.neighbors(v) if key(w) > key(v)]
+
+    out_degree = [max(len(out(g, v)) for v in range(n)) for g in graphs]
+    assignment = [-1] * n
+    base = 0
+    for i, g in enumerate(graphs):
+        for v in sorted(range(n), key=key, reverse=True):
+            if class_of[v] == i + 1:
+                used = {assignment[w] for w in out(g, v)}
+                assignment[v] = min(set(range(base, base + out_degree[i] + 1)) - used)
+        base += out_degree[i] + 1
+    return out_degree, assignment
 
 
 def per_edge_forward_degree(n: int, edges, layer) -> int:
@@ -193,6 +233,32 @@ def test_arboricity_coloring_same_at_every_chunk_size(at_chunk_sizes):
     assignment, metrics, passes = results[0]
     assert metrics["ell"] > 1 and metrics["k"] >= 2 and passes == metrics["k"]
     assert verify_proper(EdgeStream.from_edges(FOREST.n, edges), Coloring(assignment, 0)) == []
+    class_of = class_draw(0, metrics["ell"], FOREST.n)
+    graphs = same_class_graphs(FOREST.n, edges.tolist(), class_of, metrics["ell"])
+    assert metrics["peak_stored_edges"] == sum(g.stored_edges for g in graphs)
+    gamma = derive_config(FOREST.n, 4, 0.5, 0.02, seed=0).gamma
+    lp = peel(EdgeStream.from_edges(FOREST.n, edges), 4, gamma)
+    assert (metrics["per_class_out_degree"], assignment) == per_class_dag_coloring(
+        graphs, class_of, lp.layer
+    )
+
+
+def test_arboricity_stall_same_at_every_chunk_size(at_chunk_sizes):
+    edges = noisy_edges(FOREST)
+
+    def run():
+        stream = EdgeStream.from_edges(FOREST.n, edges)
+        with pytest.raises(PeelStalled) as info:
+            run_arboricity_coloring(stream, 2, 0.5, c=0.02, seed=0)
+        return asdict(info.value.metrics), stream.pass_count
+
+    results = at_chunk_sizes(run)
+    assert all_equal(results)
+    metrics, passes = results[0]
+    assert metrics["ell"] > 1 and passes == metrics["k"] == 2  # stalls after a round of progress
+    class_of = class_draw(0, metrics["ell"], FOREST.n)
+    graphs = same_class_graphs(FOREST.n, edges.tolist(), class_of, metrics["ell"])
+    assert metrics["peak_stored_edges"] == sum(g.stored_edges for g in graphs)
 
 
 def test_forward_degree_same_at_every_chunk_size(at_chunk_sizes):

@@ -282,18 +282,27 @@ def test_sweep_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "run, key",
+    "spec, key",
     [
-        ({"algorithm": "delta", "n": 10}, "'family'"),
-        ({"family": "complete", "n": 5, "algorithm": "delta", "seeds": {"start": 0}}, "'count'"),
+        ({"runs": [{"algorithm": "delta", "n": 10}]}, "'family'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "seeds": {"start": 0}}]}, "'count'"),
+        ({"runs": [1]}, "list of objects"),
+        ([1, 2], "JSON object"),
+        ({"runs": {"family": "gnm"}}, "list of objects"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "seeds": {"start": "a", "count": 2}}]}, "integer 'start' and 'count'"),
     ],
 )
-def test_sweep_malformed_spec_is_an_input_error(tmp_path, capsys, run, key):
-    spec = tmp_path / "sweep.json"
-    spec.write_text(json.dumps({"runs": [run]}))
-    assert main(["sweep", "-s", str(spec), "-o", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+def test_sweep_malformed_spec_is_an_input_error(tmp_path, capsys, spec, key):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    # without -o the output directory would be read from the spec itself
+    for out in (["-o", str(tmp_path / "out")], []):
+        assert main(["sweep", "-s", str(path), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_requires_output_dir(tmp_path, capsys):
