@@ -9,6 +9,7 @@ plus seed reproduces byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -189,6 +190,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # static, and rebuilding it costs about 1 ms per main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamcolor",

@@ -4,12 +4,20 @@ An EdgeStream is a fixed, re-traversable edge sequence with pass accounting:
 the order is committed before any algorithm randomness is drawn, and every
 traversal replays exactly the same sequence. StoredGraph is the incremental
 in-memory adjacency of the one-pass coloring and the oracles; it
-deduplicates edges and tracks a stored-edge high-water mark so space claims
-are checkable.
+deduplicates edges and counts the edges it stores so space claims are
+checkable.
+
+A stream is a multigraph: the same edge may arrive more than once, in
+either endpoint order. Counters (max degree, peel degrees, forward and
+out-degrees) count every occurrence, since O(n) counters cannot
+deduplicate, so the ``delta`` and ``alpha`` bounds a run is given must bound
+the multigraph. Stored edges are deduplicated sets; that only saves space
+and leaves every guarantee intact.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -17,6 +25,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 _EMPTY: frozenset[int] = frozenset()
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
 
 
 class StreamFormatError(ValueError):
@@ -47,15 +56,14 @@ class EdgeStream:
     endpoint specially.
     """
 
-    def __init__(self, n: int, u: np.ndarray, v: np.ndarray, declared_m: int | None = None):
+    def __init__(self, n: int, u: np.ndarray, v: np.ndarray):
         self.n = int(n)
         self._u = u
         self._v = v
-        self.declared_m = declared_m
         self.pass_count = 0
 
     @classmethod
-    def from_edges(cls, n: int, edges, declared_m: int | None = None) -> "EdgeStream":
+    def from_edges(cls, n: int, edges) -> "EdgeStream":
         """Wrap an in-memory edge sequence ((m, 2) array or iterable of pairs)."""
         arr = np.asarray(edges, dtype=np.int64)
         if arr.size == 0:
@@ -68,15 +76,11 @@ class EdgeStream:
             raise StreamFormatError(f"self-loop at vertex {bad}")
         if len(u) and (int(min(u.min(), v.min())) < 0 or int(max(u.max(), v.max())) >= n):
             raise StreamFormatError(f"endpoint out of range [0, {n})")
-        return cls(n, u, v, declared_m)
+        return cls(n, u, v)
 
     @property
     def m(self) -> int:
         return len(self._u)
-
-    @property
-    def meta(self) -> StreamMeta:
-        return StreamMeta(n=self.n, m=self.m)
 
     def pass_chunks(self, chunk_size: int = 1 << 16) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """One full traversal, as consecutive (u, v) int64 array chunks in
@@ -103,6 +107,53 @@ def open_stream(source, n: int | None = None) -> EdgeStream:
 
 
 def _parse_edge_file(path: Path) -> EdgeStream:
+    parsed = _parse_plain(path.read_bytes())
+    if parsed is None:
+        return _scan_edge_file(path)
+    return EdgeStream(*parsed)
+
+
+def _parse_plain(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """Vectorized parse of an obviously well-formed edge file, else None.
+
+    Accepts only digits, spaces and newlines laid out as ``<digits> <digits>``
+    lines, each ending in a newline, with at most ``_MAX_DIGITS`` digits per
+    number, and edges that pass every check of the scan. Everything else
+    (comments, blank lines, signs, tabs, CRLF, bad edges) returns None and is
+    left to ``_scan_edge_file``, the only code that raises StreamFormatError,
+    so errors and their line numbers do not depend on the route.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if len(buf) == 0 or buf[-1] != ord("\n"):
+        return None
+    seps = np.flatnonzero((buf - ord("0")) > 9)  # uint8 wraps below '0'
+    kinds = buf[seps]
+    if len(seps) % 2 or (kinds[0::2] != ord(" ")).any() or (kinds[1::2] != ord("\n")).any():
+        return None
+    lengths = np.diff(seps, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+        return None
+    count = len(seps)
+    del buf, seps, kinds, lengths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            vals = np.fromstring(data, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):  # an unparsed tail; older numpy only warns
+            return None
+    if len(vals) != count:
+        return None
+    n, declared_m = int(vals[0]), int(vals[1])
+    u, v = vals[2::2].copy(), vals[3::2].copy()
+    del vals
+    if declared_m and len(u) != declared_m:
+        return None
+    if len(u) and (bool((u == v).any()) or int(max(u.max(), v.max())) >= n):
+        return None
+    return n, u, v
+
+
+def _scan_edge_file(path: Path) -> EdgeStream:
     n: int | None = None
     declared_m = 0
     us: list[int] = []
@@ -136,7 +187,7 @@ def _parse_edge_file(path: Path) -> EdgeStream:
         raise StreamFormatError(f"header declares m={declared_m} but file has {len(us)} edges")
     u = np.asarray(us, dtype=np.int64)
     v = np.asarray(vs, dtype=np.int64)
-    return EdgeStream(n, u, v, declared_m or None)
+    return EdgeStream(n, u, v)
 
 
 def measure_max_degree(stream: EdgeStream) -> int:
@@ -154,7 +205,7 @@ def measure_max_degree(stream: EdgeStream) -> int:
 
 
 class StoredGraph:
-    """Undirected adjacency with dedup and a stored-edge high-water mark.
+    """Undirected adjacency with dedup and a stored-edge count.
 
     add_edge is idempotent: a repeated edge changes nothing, so stream noise
     cannot inflate space accounting.
@@ -166,7 +217,6 @@ class StoredGraph:
         self.n = n
         self._adj: dict[int, set[int]] = {}
         self.stored_edges = 0
-        self.peak_stored_edges = 0
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "StoredGraph":
@@ -193,8 +243,6 @@ class StoredGraph:
             t = adj[v] = set()
         t.add(u)
         self.stored_edges += 1
-        if self.stored_edges > self.peak_stored_edges:
-            self.peak_stored_edges = self.stored_edges
 
     def neighbors(self, v: int) -> frozenset[int] | set[int]:
         """Read-only view; do not mutate."""

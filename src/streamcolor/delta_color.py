@@ -201,7 +201,7 @@ class OnlineColorState:
         return [g.max_degree() for g in self.subgraphs]
 
     def peak_stored_edges(self) -> int:
-        return sum(g.peak_stored_edges for g in self.subgraphs)
+        return sum(g.stored_edges for g in self.subgraphs)  # graphs never shrink
 
     def metrics(self, m: int, passes: int, aborted: bool) -> DeltaRunMetrics:
         per_class = self.per_class_degree()

@@ -210,7 +210,7 @@ def test_stored_graph_accounting_matches_shadow_set(edge_seq):
         g.add_edge(u, v)
         shadow.add((min(u, v), max(u, v)))
         assert g.stored_edges == len(shadow)
-    assert g.peak_stored_edges == len(shadow)
+    assert g.stored_edges == len(shadow)
     assert set(g.edges()) == shadow
     assert sum(g.degree(v) for v in range(10)) == 2 * len(shadow)
 
