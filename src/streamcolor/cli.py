@@ -15,6 +15,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .arb_color import run_arboricity_coloring
 from .core import EdgeStream, StoredGraph, StreamFormatError, measure_max_degree, open_stream
 from .corpus import FAMILIES, ORDERS, GenSpec, generate
@@ -24,9 +26,26 @@ from .peel import PeelStalled, peel
 from .sweep import expand_spec, run_sweep
 
 
-def _write_lines(path: str, lines) -> None:
+WRITE_CHUNK = 1 << 16  # pairs formatted per call
+
+
+def write_pairs(path: str, pairs, header: str = "") -> None:
+    """Write ``header``, then one ``<a> <b>`` line per row of ``pairs``.
+
+    Each chunk of rows is formatted by a single ``%`` over a flat tuple, so the
+    per-line work stays in C; the bytes equal ``f"{a} {b}\\n"`` per row.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        fh.write(header)
+        for lo in range(0, len(pairs), WRITE_CHUNK):
+            chunk = pairs[lo : lo + WRITE_CHUNK]
+            fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def _indexed(values) -> np.ndarray:
+    """Rows ``(i, values[i])``: the vertex-indexed pairs of a coloring or layering."""
+    return np.column_stack((np.arange(len(values)), np.asarray(values, dtype=np.int64)))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -35,7 +54,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def write_coloring_file(path: str, coloring: Coloring) -> None:
-    _write_lines(path, (f"{v} {c}\n" for v, c in enumerate(coloring.assignment)))
+    write_pairs(path, _indexed(coloring.assignment))
 
 
 def read_coloring_file(path: str, n: int) -> Coloring:
@@ -78,9 +97,7 @@ def cmd_gen(args) -> int:
         seed=args.seed, order=args.order,
     )
     edges, meta = generate(spec)
-    lines = [f"{meta.n} {meta.m}\n"]
-    lines.extend(f"{u} {v}\n" for u, v in edges.tolist())
-    _write_lines(args.output, lines)
+    write_pairs(args.output, edges, header=f"{meta.n} {meta.m}\n")
     print(f"wrote {args.output}: n={meta.n} m={meta.m} max_degree={meta.max_degree}")
     return 0
 
@@ -120,7 +137,7 @@ def cmd_peel(args) -> int:
     except PeelStalled as exc:
         print(f"stall: {exc}", file=sys.stderr)
         return 3
-    _write_lines(args.output, (f"{v} {layer}\n" for v, layer in enumerate(lp.layer)))
+    write_pairs(args.output, _indexed(lp.layer))
     print(f"peeled into k={lp.k} layers (threshold={lp.threshold}, passes={lp.passes})")
     return 0
 

@@ -26,6 +26,7 @@ import numpy as np
 
 _EMPTY: frozenset[int] = frozenset()
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
+_INT64_MAX = 2**63 - 1
 
 
 class StreamFormatError(ValueError):
@@ -179,6 +180,8 @@ def _scan_edge_file(path: Path) -> EdgeStream:
                 raise StreamFormatError(f"self-loop at vertex {a}", line_no)
             if not (0 <= a < n) or not (0 <= b < n):
                 raise StreamFormatError(f"endpoint out of range [0, {n})", line_no)
+            if a > _INT64_MAX or b > _INT64_MAX:  # only under a header n beyond int64
+                raise StreamFormatError("endpoint does not fit in a signed 64-bit integer", line_no)
             us.append(a)
             vs.append(b)
     if n is None:

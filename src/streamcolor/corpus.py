@@ -139,6 +139,12 @@ def _petersen() -> np.ndarray:
 
 
 def _gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m distinct uniform pairs of n vertices, in draw order.
+
+    The sparse path's batch size ``int((m - got) * 1.2) + 16`` and its rule of
+    keeping each pair's first occurrence in draw order are part of the seeded
+    output, which ``tests/test_golden.py`` pins.
+    """
     max_m = n * (n - 1) // 2
     if m < 0 or m > max_m:
         raise ValueError(f"gnm m must be in [0, {max_m}] for n={n}")
@@ -150,28 +156,22 @@ def _gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
         take = rng.permutation(max_m)[:m]
         return _pairs(u_all[take], v_all[take])
     # sparse case: rejection-sample distinct pairs, keeping draw order
-    seen: set[int] = set()
-    out_u: list[int] = []
-    out_v: list[int] = []
-    while len(out_u) < m:
-        batch = int((m - len(out_u)) * 1.2) + 16
+    kept = np.empty(0, dtype=np.int64)  # sorted codes of the pairs taken so far
+    parts: list[np.ndarray] = []
+    got = 0
+    while got < m:
+        batch = int((m - got) * 1.2) + 16
         a = rng.integers(0, n, size=batch)
         b = rng.integers(0, n - 1, size=batch)
         b = b + (b >= a)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        codes = (lo.astype(np.int64) * n + hi).tolist()
-        a_list = a.tolist()
-        b_list = b.tolist()
-        for i, code in enumerate(codes):
-            if code in seen:
-                continue
-            seen.add(code)
-            out_u.append(a_list[i])
-            out_v.append(b_list[i])
-            if len(out_u) == m:
-                break
-    return _pairs(out_u, out_v)
+        codes = np.minimum(a, b) * n + np.maximum(a, b)
+        uniq, first = np.unique(codes, return_index=True)
+        take = np.sort(first[~np.isin(uniq, kept, assume_unique=True)])[: m - got]
+        parts.append(_pairs(a[take], b[take]))
+        got += len(take)
+        if got < m:  # the sets are disjoint, so a sort merges them
+            kept = np.sort(np.concatenate((kept, codes[take])))
+    return np.concatenate(parts)
 
 
 def _find(parent: list[int], x: int) -> int:

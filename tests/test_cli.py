@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from streamcolor.cli import main, read_coloring_file
+import numpy as np
+
+from streamcolor.cli import WRITE_CHUNK, main, read_coloring_file, write_pairs
 
 K4_FILE = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -63,6 +65,30 @@ def test_gen_rejects_gnm_without_m(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def reference_pair_bytes(pairs, header: str = "") -> bytes:
+    return (header + "".join(f"{a} {b}\n" for a, b in pairs)).encode()
+
+
+@pytest.mark.parametrize("rows", [0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
+def test_write_pairs_matches_fstring_lines(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    pairs = rng.integers(0, 10**6, size=(rows, 2))
+    path = tmp_path / "pairs.txt"
+    write_pairs(str(path), pairs, header=f"{10**6} {rows}\n")
+    assert path.read_bytes() == reference_pair_bytes(pairs.tolist(), f"{10**6} {rows}\n")
+
+
+def test_write_pairs_digit_widths(tmp_path):
+    # endpoints of every width from 1 to 18 digits, and 0
+    values = [0] + [10**d - 1 for d in range(1, 19)] + [10**d for d in range(18)]
+    pairs = list(zip(values, reversed(values)))
+    path = tmp_path / "pairs.txt"
+    write_pairs(str(path), pairs)
+    assert path.read_bytes() == reference_pair_bytes(pairs)
+    write_pairs(str(path), [], header="0 0\n")
+    assert path.read_bytes() == b"0 0\n"
+
+
 def test_maxdeg(k4_path, capsys):
     assert main(["maxdeg", "-i", k4_path]) == 0
     assert capsys.readouterr().out.strip() == "3"
@@ -80,6 +106,16 @@ def test_maxdeg_header_too_large_to_allocate(tmp_path, capsys):
     huge.write_text(f"{10**18} 1\n0 1\n")
     assert main(["maxdeg", "-i", str(huge)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_endpoint_beyond_int64_is_a_line_error(tmp_path, capsys):
+    # a header n above 2**63 - 1 lets endpoints at or above 2**63 pass the
+    # range check; they must still fail as input errors, not overflow
+    huge = tmp_path / "huge.txt"
+    huge.write_text("99999999999999999999 1\n99999999999999999998 1\n")
+    assert main(["maxdeg", "-i", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:")
 
 
 def test_malformed_edge_file(tmp_path, capsys):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from streamcolor import GenSpec, StoredGraph, generate, shuffle_order
+from streamcolor.corpus import _gnm
 from streamcolor.oracle import degeneracy, nash_williams_arboricity
+from streamcolor.seeding import GEN, rng_for
 
 
 def edge_codes(edges: np.ndarray) -> set[tuple[int, int]]:
@@ -85,6 +87,72 @@ def test_gnm_edge_cases():
         generate(GenSpec(family="gnm", n=5, m=11))
     with pytest.raises(ValueError, match="gnm needs m"):
         generate(GenSpec(family="gnm", n=5))
+
+
+def gnm_reference(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """The per-draw set loop that the vectorized sparse path replaced."""
+    max_m = n * (n - 1) // 2
+    if m == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if max_m <= 2_000_000 and m > max_m // 2:
+        u_all, v_all = np.triu_indices(n, k=1)
+        take = rng.permutation(max_m)[:m]
+        return np.stack([u_all[take], v_all[take]], axis=1).astype(np.int64)
+    seen: set[int] = set()
+    out: list[tuple[int, int]] = []
+    while len(out) < m:
+        batch = int((m - len(out)) * 1.2) + 16
+        a = rng.integers(0, n, size=batch)
+        b = rng.integers(0, n - 1, size=batch)
+        b = b + (b >= a)
+        for x, y in zip(a.tolist(), b.tolist()):
+            code = min(x, y) * n + max(x, y)
+            if code in seen:
+                continue
+            seen.add(code)
+            out.append((x, y))
+            if len(out) == m:
+                break
+    return np.asarray(out, dtype=np.int64)
+
+
+class CountingRng:
+    """A generator that counts its batches, to show a case needs several."""
+
+    def __init__(self, seed: int):
+        self.rng = rng_for(seed, GEN)
+        self.batches = 0
+
+    def integers(self, *args, **kwargs):
+        self.batches += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def permutation(self, *args):
+        return self.rng.permutation(*args)
+
+
+@pytest.mark.parametrize(
+    "n,m,seed,min_batches",
+    [
+        (128, 500, 42, 1),
+        (1000, 5000, 3, 1),
+        (8192, 20_000, 101, 1),
+        (100, 2475, 1, 2),   # the densest sparse case: many rejections
+        (64, 1008, 2, 2),
+        (40, 390, 5, 2),
+        (2, 1, 0, 0),        # a single possible pair: dense path
+        (5, 0, 0, 0),
+        (64, 1500, 3, 0),    # dense path
+    ],
+)
+def test_gnm_matches_per_draw_reference(n, m, seed, min_batches):
+    counted = CountingRng(seed)
+    got = _gnm(n, m, counted)
+    want = gnm_reference(n, m, rng_for(seed, GEN))
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape == (m, 2)
+    assert np.array_equal(got, want)
+    assert counted.batches >= 2 * min_batches  # two draws per batch
 
 
 def test_forest_union_certified_arboricity():
