@@ -15,7 +15,6 @@ from .arb_color import (
 )
 from .core import (
     EdgeStream,
-    StoredGraph,
     StreamFormatError,
     StreamMeta,
     measure_max_degree,
@@ -48,7 +47,6 @@ from .peel import (
     PeelState,
     max_rounds_bound,
     measure_forward_degree,
-    orient,
     peel,
     peel_threshold,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "PeelStalled",
     "PeelState",
     "PhasePartition",
-    "StoredGraph",
     "StreamFormatError",
     "StreamMeta",
     "build_phase1",
@@ -89,7 +86,6 @@ __all__ = [
     "nash_williams_arboricity",
     "offline_dag_color",
     "open_stream",
-    "orient",
     "palette_size",
     "peel",
     "peel_threshold",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .arb_color import run_arboricity_coloring
-from .core import EdgeStream, StoredGraph, StreamFormatError, measure_max_degree, open_stream
+from .core import StreamFormatError, measure_max_degree, open_stream
 from .corpus import FAMILIES, ORDERS, GenSpec, generate
 from .delta_color import DEFAULT_C, ColoringAborted, run_delta_coloring
 from .oracle import Coloring, degeneracy, greedy_color, nash_williams_arboricity, verify_proper
@@ -81,14 +81,6 @@ def read_coloring_file(path: str, n: int) -> Coloring:
         raise ValueError(f"coloring missing a vertex: first missing id {missing[0]}")
     filled = [int(c) for c in assignment]  # type: ignore[arg-type]
     return Coloring(assignment=filled, palette_size=max(filled) + 1 if filled else 0)
-
-
-def _stored_from_stream(stream: EdgeStream) -> StoredGraph:
-    g = StoredGraph(stream.n)
-    for u, v in stream.pass_chunks():
-        for a, b in zip(u.tolist(), v.tolist()):
-            g.add_edge(a, b)
-    return g
 
 
 def cmd_gen(args) -> int:
@@ -178,18 +170,17 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     stream = open_stream(args.input)
-    g = _stored_from_stream(stream)
     if args.which == "arboricity":
-        print(nash_williams_arboricity(g))
+        print(nash_williams_arboricity(stream))
         return 0
     if args.which == "degeneracy":
-        print(degeneracy(g).d)
+        print(degeneracy(stream).d)
         return 0
     if args.order == "reverse-degeneracy":
-        order = list(reversed(degeneracy(g).order))
+        order = list(reversed(degeneracy(stream).order))
     else:
-        order = list(range(g.n))
-    coloring = greedy_color(g, order)
+        order = list(range(stream.n))
+    coloring = greedy_color(stream, order)
     if args.output:
         write_coloring_file(args.output, coloring)
     print(f"greedy used {coloring.colors_used} colors (palette {coloring.palette_size})")

@@ -2,17 +2,18 @@
 
 An EdgeStream is a fixed, re-traversable edge sequence with pass accounting:
 the order is committed before any algorithm randomness is drawn, and every
-traversal replays exactly the same sequence. StoredGraph is the incremental
-in-memory adjacency of the one-pass coloring and the oracles; it
-deduplicates edges and counts the edges it stores so space claims are
-checkable.
+traversal replays exactly the same sequence. It is the one graph type:
+every algorithm, oracle and check reads its graph from a stream, and what an
+algorithm keeps of it (the one-pass coloring's same-class edges, the
+arboricity run's same-class codes) lives inside that algorithm, where its
+space is counted.
 
 A stream is a multigraph: the same edge may arrive more than once, in
 either endpoint order. Counters (max degree, peel degrees, forward and
 out-degrees) count every occurrence, since O(n) counters cannot
 deduplicate, so the ``delta`` and ``alpha`` bounds a run is given must bound
-the multigraph. Stored edges are deduplicated sets; that only saves space
-and leaves every guarantee intact.
+the multigraph. Stored edges and the oracles' adjacency are deduplicated
+sets; that only saves space and leaves every guarantee intact.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-_EMPTY: frozenset[int] = frozenset()
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
 _INT64_MAX = 2**63 - 1
 
@@ -66,7 +66,10 @@ class EdgeStream:
     @classmethod
     def from_edges(cls, n: int, edges) -> "EdgeStream":
         """Wrap an in-memory edge sequence ((m, 2) array or iterable of pairs)."""
-        arr = np.asarray(edges, dtype=np.int64)
+        try:
+            arr = np.asarray(edges, dtype=np.int64)
+        except OverflowError:
+            raise StreamFormatError("endpoint does not fit in a signed 64-bit integer") from None
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -206,61 +209,3 @@ def measure_max_degree(stream: EdgeStream) -> int:
         counts += np.bincount(v, minlength=stream.n)
     return int(counts.max()) if stream.n else 0
 
-
-class StoredGraph:
-    """Undirected adjacency with dedup and a stored-edge count.
-
-    add_edge is idempotent: a repeated edge changes nothing, so stream noise
-    cannot inflate space accounting.
-    """
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        self.n = n
-        self._adj: dict[int, set[int]] = {}
-        self.stored_edges = 0
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "StoredGraph":
-        g = cls(n)
-        for u, v in edges:
-            g.add_edge(int(u), int(v))
-        return g
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        n = self.n
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise ValueError(f"endpoint out of range [0, {n})")
-        adj = self._adj
-        s = adj.get(u)
-        if s is None:
-            s = adj[u] = set()
-        if v in s:
-            return
-        s.add(v)
-        t = adj.get(v)
-        if t is None:
-            t = adj[v] = set()
-        t.add(u)
-        self.stored_edges += 1
-
-    def neighbors(self, v: int) -> frozenset[int] | set[int]:
-        """Read-only view; do not mutate."""
-        return self._adj.get(v, _EMPTY)
-
-    def degree(self, v: int) -> int:
-        s = self._adj.get(v)
-        return len(s) if s else 0
-
-    def max_degree(self) -> int:
-        return max((len(s) for s in self._adj.values()), default=0)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Each stored edge once, as (u, v) with u < v, in sorted order."""
-        for u in sorted(self._adj):
-            for v in sorted(self._adj[u]):
-                if u < v:
-                    yield (u, v)

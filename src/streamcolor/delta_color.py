@@ -18,11 +18,12 @@ multi-class machinery is exercised at desk scale.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EdgeStream, StoredGraph
+from .core import EdgeStream
 from .oracle import Coloring
 from .seeding import PHASE1, rng_for
 
@@ -62,9 +63,6 @@ class PhasePartition:
     ell: int
     class_of: np.ndarray = field(repr=False)  # per-vertex class id in [1, ell]
     seed: int
-    c: float
-    epsilon: float
-    delta: int
 
     @property
     def n(self) -> int:
@@ -94,10 +92,7 @@ def build_phase1(
     r = palette_size(n, epsilon, c)
     rng = rng_for(seed, PHASE1)
     class_of = rng.integers(1, ell + 1, size=n, dtype=np.int64)
-    part = PhasePartition(
-        ell=ell, class_of=class_of, seed=seed, c=c, epsilon=epsilon, delta=delta
-    )
-    return part, ClassPalettes(ell=ell, r=r)
+    return PhasePartition(ell=ell, class_of=class_of, seed=seed), ClassPalettes(ell=ell, r=r)
 
 
 class ColoringAborted(RuntimeError):
@@ -137,7 +132,11 @@ class DeltaRunMetrics:
 
 
 class OnlineColorState:
-    """Mutable per-run state: slots, per-class stored subgraphs, instrumentation."""
+    """Mutable per-run state: slots, stored same-class edges, instrumentation.
+
+    Classes partition the vertices, so one adjacency holds every class's
+    stored graph: all stored neighbors of a vertex are in its class.
+    """
 
     def __init__(self, partition: PhasePartition, palettes: ClassPalettes):
         n = partition.n
@@ -145,7 +144,8 @@ class OnlineColorState:
         self.palettes = palettes
         self.class_of: list[int] = partition.class_of.tolist()
         self.slot: list[int] = [1] * n  # every vertex starts on slot 1
-        self.subgraphs: list[StoredGraph] = [StoredGraph(n) for _ in range(partition.ell)]
+        self.adj: defaultdict[int, set[int]] = defaultdict(set)  # keyed on first store
+        self.stored_edges = 0
         self.max_edge_cost = 0
         self._occ = [0] * (palettes.r + 1)  # slot occupancy scratch, stamp-cleared
         self._stamp = 0
@@ -159,21 +159,23 @@ class OnlineColorState:
         cls = self.partition.class_of
         same = cls[u] == cls[v]
         u, v = u[same], v[same]
-        graphs = self.subgraphs
+        adj = self.adj
         slot = self.slot
-        for a, b, c in zip(u.tolist(), v.tolist(), cls[u].tolist()):
-            g = graphs[c - 1]
-            g.add_edge(a, b)
+        for a, b in zip(u.tolist(), v.tolist()):
+            neighbors = adj[a]
+            if b not in neighbors:
+                neighbors.add(b)
+                adj[b].add(a)
+                self.stored_edges += 1
             if slot[a] == slot[b]:
-                self._recolor(a, c, g)
+                self._recolor(a, neighbors)
 
-    def _recolor(self, u: int, class_id: int, g: StoredGraph) -> None:
+    def _recolor(self, u: int, neighbors: set[int]) -> None:
         # smallest slot not held by any stored neighbor of u in its class
         slot = self.slot
         occ = self._occ
         self._stamp += 1
         stamp = self._stamp
-        neighbors = g.neighbors(u)
         for w in neighbors:
             occ[slot[w]] = stamp
         r = self.palettes.r
@@ -187,7 +189,7 @@ class OnlineColorState:
         if cost > self.max_edge_cost:
             self.max_edge_cost = cost
         if not chosen:
-            raise ColoringAborted(u, class_id, len(neighbors), self.partition.seed)
+            raise ColoringAborted(u, self.class_of[u], len(neighbors), self.partition.seed)
         slot[u] = chosen
 
     def coloring(self) -> Coloring:
@@ -198,10 +200,15 @@ class OnlineColorState:
         return Coloring(assignment=assignment, palette_size=pal.ell * pal.r)
 
     def per_class_degree(self) -> list[int]:
-        return [g.max_degree() for g in self.subgraphs]
+        adj = self.adj
+        vertices = np.fromiter(adj.keys(), dtype=np.int64, count=len(adj))
+        degree = np.fromiter(map(len, adj.values()), dtype=np.int64, count=len(adj))
+        out = np.zeros(self.partition.ell, dtype=np.int64)
+        np.maximum.at(out, self.partition.class_of[vertices] - 1, degree)
+        return out.tolist()
 
     def peak_stored_edges(self) -> int:
-        return sum(g.stored_edges for g in self.subgraphs)  # graphs never shrink
+        return self.stored_edges  # the adjacency never shrinks
 
     def metrics(self, m: int, passes: int, aborted: bool) -> DeltaRunMetrics:
         per_class = self.per_class_degree()

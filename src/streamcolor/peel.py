@@ -162,15 +162,6 @@ def peel(stream: EdgeStream, alpha: int | float, gamma: float) -> LayerPartition
     return state.partition()
 
 
-def orient(u: int, v: int, lp: LayerPartition) -> tuple[int, int]:
-    """Direct edge (u, v) from the smaller lp.key to the larger."""
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    if lp.key(u) < lp.key(v):
-        return (u, v)
-    return (v, u)
-
-
 def measure_forward_degree(stream: EdgeStream, lp: LayerPartition) -> int:
     """One verification pass: max over v of #neighbors in layers >= layer(v).
 

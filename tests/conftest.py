@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from streamcolor import EdgeStream, GenSpec, StoredGraph, generate
+from streamcolor import EdgeStream, GenSpec, generate
 
 # every graph here has n <= 20 so the brute-force arboricity oracle applies,
 # and at least one edge so the degeneracy sandwich is non-vacuous
@@ -21,12 +21,8 @@ SMALL_SPECS = {
 
 
 @pytest.fixture(scope="session")
-def small_graphs() -> dict[str, StoredGraph]:
-    out = {}
-    for label, spec in SMALL_SPECS.items():
-        edges, _ = generate(spec)
-        out[label] = StoredGraph.from_edges(spec.n, edges)
-    return out
+def small_graphs() -> dict[str, EdgeStream]:
+    return {label: stream_from_spec(spec) for label, spec in SMALL_SPECS.items()}
 
 
 def stream_from_spec(spec: GenSpec) -> EdgeStream:

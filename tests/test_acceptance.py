@@ -225,7 +225,7 @@ def test_criterion_6_oracle_cross_checks(small_graphs):
         for g in small_graphs.values():
             alpha = nash_williams_arboricity(g)
             result = degeneracy(g)
-            if g.stored_edges:
+            if g.m:
                 assert alpha <= result.d <= 2 * alpha - 1
             else:
                 assert alpha == result.d == 0

@@ -14,9 +14,9 @@ from streamcolor import (
     GenSpec,
     LayerPartition,
     PeelStalled,
-    StoredGraph,
     derive_config,
     generate,
+    measure_max_degree,
     nash_williams_arboricity,
     offline_dag_color,
     peel,
@@ -28,13 +28,6 @@ from streamcolor.arb_color import out_degree_profile, per_class_out_bound
 from streamcolor.seeding import PHASE1, rng_for
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-
-def stored(n: int, edges) -> StoredGraph:
-    g = StoredGraph(n)
-    for u, v in edges:
-        g.add_edge(int(u), int(v))
-    return g
 
 
 def flat_partition(n: int) -> LayerPartition:
@@ -266,11 +259,12 @@ def test_properness_and_budget_on_small_corpus():
         GenSpec(family="gnm", n=64, m=200, seed=22, order="layered-adversarial"),
     ):
         edges, _ = generate(spec)
-        g = stored(spec.n, edges)
+        g = EdgeStream.from_edges(spec.n, edges)
         alpha = nash_williams_arboricity(g) if g.n <= 20 else None
         if alpha is None:
-            # sandwich bound keeps alpha honest without the exact oracle
-            alpha = math.ceil((g.max_degree() + 1) / 2)
+            # sandwich bound keeps alpha honest without the exact oracle;
+            # corpus graphs are simple, so the counted max degree is exact
+            alpha = math.ceil((measure_max_degree(g) + 1) / 2)
         for seed in range(3):
             stream = EdgeStream.from_edges(spec.n, edges)
             coloring, metrics = run_arboricity_coloring(stream, alpha, 0.5, 1.0, seed)
@@ -325,7 +319,7 @@ def test_random_small_graphs_proper_within_budget(ne, seed):
     # alpha from the exact oracle can never stall: the threshold beats the
     # degeneracy, so every round peels something
     n, edges = ne
-    alpha = nash_williams_arboricity(stored(n, edges))
+    alpha = nash_williams_arboricity(EdgeStream.from_edges(n, edges))
     stream = EdgeStream.from_edges(n, edges)
     coloring, metrics = run_arboricity_coloring(stream, alpha, 0.5, 1.0, seed)
     cfg = derive_config(n, alpha, 0.5, 1.0, seed)

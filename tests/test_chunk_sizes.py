@@ -6,6 +6,7 @@ per-edge references below spell those semantics out as plain loops.
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import asdict
 
 import numpy as np
@@ -17,7 +18,6 @@ from streamcolor import (
     EdgeStream,
     GenSpec,
     PeelStalled,
-    StoredGraph,
     build_phase1,
     derive_config,
     generate,
@@ -105,12 +105,19 @@ def class_draw(seed: int, ell: int, n: int) -> list[int]:
     return rng_for(seed, PHASE1).integers(1, ell + 1, size=n, dtype=np.int64).tolist()
 
 
-def same_class_graphs(n: int, edges, class_of, ell: int) -> list[StoredGraph]:
-    graphs = [StoredGraph(n) for _ in range(ell)]
+def same_class_graphs(edges, class_of, ell: int) -> list[defaultdict[int, set[int]]]:
+    """Per class, the distinct same-class neighbors of each vertex."""
+    graphs = [defaultdict(set) for _ in range(ell)]
     for u, v in edges:
         if class_of[u] == class_of[v]:
-            graphs[class_of[u] - 1].add_edge(u, v)
+            g = graphs[class_of[u] - 1]
+            g[u].add(v)
+            g[v].add(u)
     return graphs
+
+
+def stored_edges(graphs) -> int:
+    return sum(len(s) for g in graphs for s in g.values()) // 2
 
 
 def per_class_dag_coloring(graphs, class_of, layer) -> tuple[list[int], list[int]]:
@@ -123,7 +130,7 @@ def per_class_dag_coloring(graphs, class_of, layer) -> tuple[list[int], list[int
         return (layer[v], v)
 
     def out(g, v):
-        return [w for w in g.neighbors(v) if key(w) > key(v)]
+        return [w for w in g.get(v, ()) if key(w) > key(v)]
 
     out_degree = [max(len(out(g, v)) for v in range(n)) for g in graphs]
     assignment = [-1] * n
@@ -234,8 +241,8 @@ def test_arboricity_coloring_same_at_every_chunk_size(at_chunk_sizes):
     assert metrics["ell"] > 1 and metrics["k"] >= 2 and passes == metrics["k"]
     assert verify_proper(EdgeStream.from_edges(FOREST.n, edges), Coloring(assignment, 0)) == []
     class_of = class_draw(0, metrics["ell"], FOREST.n)
-    graphs = same_class_graphs(FOREST.n, edges.tolist(), class_of, metrics["ell"])
-    assert metrics["peak_stored_edges"] == sum(g.stored_edges for g in graphs)
+    graphs = same_class_graphs(edges.tolist(), class_of, metrics["ell"])
+    assert metrics["peak_stored_edges"] == stored_edges(graphs)
     gamma = derive_config(FOREST.n, 4, 0.5, 0.02, seed=0).gamma
     lp = peel(EdgeStream.from_edges(FOREST.n, edges), 4, gamma)
     assert (metrics["per_class_out_degree"], assignment) == per_class_dag_coloring(
@@ -257,8 +264,8 @@ def test_arboricity_stall_same_at_every_chunk_size(at_chunk_sizes):
     metrics, passes = results[0]
     assert metrics["ell"] > 1 and passes == metrics["k"] == 2  # stalls after a round of progress
     class_of = class_draw(0, metrics["ell"], FOREST.n)
-    graphs = same_class_graphs(FOREST.n, edges.tolist(), class_of, metrics["ell"])
-    assert metrics["peak_stored_edges"] == sum(g.stored_edges for g in graphs)
+    graphs = same_class_graphs(edges.tolist(), class_of, metrics["ell"])
+    assert metrics["peak_stored_edges"] == stored_edges(graphs)
 
 
 def test_forward_degree_same_at_every_chunk_size(at_chunk_sizes):

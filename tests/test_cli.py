@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -302,6 +303,48 @@ def test_oracle_greedy_reverse_degeneracy(tmp_path, capsys):
     assert coloring.colors_used <= 4  # degeneracy 3 plus one
     assert main(["verify", "-i", str(path), "-c", str(col)]) == 0
 
+
+ORACLE_GRAPHS = {
+    # name: gen arguments; n <= 20 so the arboricity oracle applies
+    "gnm": ["--family", "gnm", "--n", "18", "--m", "60", "--seed", "5", "--order", "random"],
+    "forest": ["--family", "forest-union", "--n", "20", "--alpha", "3", "--seed", "8",
+               "--order", "layered-adversarial"],
+}
+
+ORACLE_PINS = {
+    # (graph, argv after the input): (stdout, sha256 of the coloring file or None)
+    ("gnm", "arboricity"): ("4\n", None),
+    ("gnm", "degeneracy"): ("5\n", None),
+    ("gnm", "greedy --order id"): (
+        "greedy used 6 colors (palette 11)\n",
+        "e1ab99030e49ccadfe9121d558d195a6e04cceb869bddb05ef7643c9e05d2acd"),
+    ("gnm", "greedy --order reverse-degeneracy"): (
+        "greedy used 6 colors (palette 11)\n",
+        "23a0217898ee55e8b0716e2543b532d1ecad43c09a53cff1298ee0cb0de97123"),
+    ("forest", "arboricity"): ("3\n", None),
+    ("forest", "degeneracy"): ("4\n", None),
+    ("forest", "greedy --order id"): (
+        "greedy used 5 colors (palette 9)\n",
+        "11255e80e3b74aec9eb623f97da2b63f5a375002155a9e46ddeac1b6e40d41a3"),
+    ("forest", "greedy --order reverse-degeneracy"): (
+        "greedy used 4 colors (palette 9)\n",
+        "013c091c0693a7d705cd48f8396143c4d5f8d0b161e675da6ae93af4d4389fc8"),
+}
+
+
+@pytest.mark.parametrize("graph, command", sorted(ORACLE_PINS))
+def test_oracle_output_is_pinned(tmp_path, capsys, graph, command):
+    path = tmp_path / f"{graph}.txt"
+    assert main(["gen", *ORACLE_GRAPHS[graph], "-o", str(path)]) == 0
+    capsys.readouterr()
+    which, *rest = command.split()
+    stdout, file_sha = ORACLE_PINS[graph, command]
+    col = tmp_path / "greedy.txt"
+    argv = ["oracle", which, "-i", str(path), *rest]
+    assert main(argv + (["-o", str(col)] if file_sha else [])) == 0
+    assert capsys.readouterr().out == stdout
+    if file_sha:
+        assert hashlib.sha256(col.read_bytes()).hexdigest() == file_sha
 
 def test_sweep_command(tmp_path, capsys):
     spec = tmp_path / "sweep.json"

@@ -1,4 +1,4 @@
-"""Stream plumbing: parsing, pass accounting, stored-graph space accounting."""
+"""Stream plumbing: parsing, pass accounting, stored-edge space accounting."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from streamcolor import (
     EdgeStream,
-    StoredGraph,
     StreamFormatError,
     measure_max_degree,
     open_stream,
+    run_delta_coloring,
 )
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -159,60 +159,30 @@ def test_measure_max_degree_counts_duplicates():
     assert measure_max_degree(s) == 2
 
 
-def test_stored_graph_basics():
-    g = StoredGraph.from_edges(4, K4_EDGES)
-    assert g.stored_edges == 6
-    assert g.max_degree() == 3
-    assert StoredGraph.from_edges(3, [(0, 1), (1, 2)]).degree(1) == 2
-    assert g.degree(0) == 3
-    assert 1 in g.neighbors(0) and 0 in g.neighbors(1)
-    assert 0 not in g.neighbors(0)
-    assert g.neighbors(2) == {0, 1, 3}
-    assert list(g.edges()) == K4_EDGES
-
-
-def test_stored_graph_isolated_vertex():
-    g = StoredGraph(3)
-    assert g.degree(1) == 0
-    assert g.neighbors(1) == frozenset()
-    assert g.max_degree() == 0
-
-
-def test_stored_graph_add_is_idempotent():
-    g = StoredGraph(3)
-    g.add_edge(0, 1)
-    g.add_edge(1, 0)
-    g.add_edge(0, 1)
-    assert g.stored_edges == 1
-    assert g.neighbors(0) == {1} and g.neighbors(1) == {0}
-    assert list(g.edges()) == [(0, 1)]
-
-
-def test_stored_graph_validates():
-    g = StoredGraph(3)
-    with pytest.raises(ValueError, match="self-loop"):
-        g.add_edge(1, 1)
-    with pytest.raises(ValueError, match="out of range"):
-        g.add_edge(0, 3)
-    with pytest.raises(ValueError):
-        StoredGraph(-1)
-
-
 pairs = st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda e: e[0] != e[1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(pairs, max_size=60))
 def test_stored_graph_accounting_matches_shadow_set(edge_seq):
-    g = StoredGraph(10)
-    shadow: set[tuple[int, int]] = set()
-    for u, v in edge_seq:
-        g.add_edge(u, v)
-        shadow.add((min(u, v), max(u, v)))
-        assert g.stored_edges == len(shadow)
-    assert g.stored_edges == len(shadow)
-    assert set(g.edges()) == shadow
-    assert sum(g.degree(v) for v in range(10)) == 2 * len(shadow)
+    # one class stores every edge; repeats, in either endpoint order, store once
+    shadow = {(min(u, v), max(u, v)) for u, v in edge_seq}
+    degree = [0] * 10
+    for u, v in shadow:
+        degree[u] += 1
+        degree[v] += 1
+    stream = EdgeStream.from_edges(10, edge_seq)
+    _, metrics = run_delta_coloring(stream, measure_max_degree(stream), 0.5, c=8.0)
+    assert metrics.ell == 1
+    assert metrics.peak_stored_edges == len(shadow)
+    assert metrics.per_class_degree == [max(degree)]
+
+
+def test_from_edges_rejects_endpoint_beyond_int64():
+    with pytest.raises(StreamFormatError, match="signed 64-bit"):
+        open_stream([(0, 2**63)], n=2**64)
+    with pytest.raises(StreamFormatError, match="signed 64-bit"):
+        EdgeStream.from_edges(4, [(-(2**64), 1)])
 
 
 def test_stream_arrays_are_int64():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from streamcolor import GenSpec, StoredGraph, generate, shuffle_order
+from streamcolor import EdgeStream, GenSpec, generate, shuffle_order
 from streamcolor.corpus import _gnm
 from streamcolor.oracle import degeneracy, nash_williams_arboricity
 from streamcolor.seeding import GEN, rng_for
@@ -161,21 +161,21 @@ def test_forest_union_certified_arboricity():
         edges, meta = generate(spec)
         assert_simple(16, edges)
         assert meta.m <= alpha * 15
-        g = StoredGraph.from_edges(16, edges)
+        g = EdgeStream.from_edges(16, edges)
         assert nash_williams_arboricity(g) <= alpha
 
 
 def test_forest_union_degeneracy_bound_at_larger_n():
     # past the brute-force oracle's reach, certify via degeneracy <= 2*alpha - 1
     edges, _ = generate(GenSpec(family="forest-union", n=50, alpha=3, seed=7))
-    g = StoredGraph.from_edges(50, edges)
+    g = EdgeStream.from_edges(50, edges)
     assert degeneracy(g).d <= 5
 
 
 def test_forest_union_alpha_one_is_a_forest():
     edges, meta = generate(GenSpec(family="forest-union", n=100, alpha=1, seed=4))
     assert meta.m > 0
-    g = StoredGraph.from_edges(100, edges)
+    g = EdgeStream.from_edges(100, edges)
     assert degeneracy(g).d == 1  # nonempty and degenerate order peels leaves only
 
 

@@ -85,17 +85,12 @@ def test_build_phase1_deterministic_and_in_range():
 
 
 def single_class_state(n: int, r: int) -> OnlineColorState:
-    part = PhasePartition(
-        ell=1, class_of=np.ones(n, dtype=np.int64), seed=0, c=1.0, epsilon=0.5, delta=3
-    )
+    part = PhasePartition(ell=1, class_of=np.ones(n, dtype=np.int64), seed=0)
     return OnlineColorState(part, ClassPalettes(ell=1, r=r))
 
 
 def test_process_edge_discards_cross_class():
-    part = PhasePartition(
-        ell=2, class_of=np.asarray([1, 2], dtype=np.int64), seed=0,
-        c=1.0, epsilon=0.5, delta=3,
-    )
+    part = PhasePartition(ell=2, class_of=np.asarray([1, 2], dtype=np.int64), seed=0)
     state = OnlineColorState(part, ClassPalettes(ell=2, r=5))
     state.consume(np.asarray([0]), np.asarray([1]))
     assert state.peak_stored_edges() == 0
@@ -106,7 +101,7 @@ def test_process_edge_moves_first_endpoint():
     state = single_class_state(2, r=5)
     state.consume(np.asarray([0]), np.asarray([1]))
     assert state.slot == [2, 1]
-    assert state.subgraphs[0].stored_edges == 1
+    assert state.peak_stored_edges() == 1
 
 
 def test_empty_stream_leaves_everyone_on_first_slot():

@@ -15,11 +15,9 @@ from streamcolor import (
     LayerPartition,
     PeelStalled,
     PeelState,
-    StoredGraph,
     generate,
     max_rounds_bound,
     measure_forward_degree,
-    orient,
     peel,
     peel_threshold,
 )
@@ -155,18 +153,9 @@ def test_certified_forest_union_round_count_and_forward_degree():
 
 def test_orient_prefers_lower_layer_then_lower_id():
     lp = make_partition([1, 2, 1, 1, 1, 1, 1, 1])
-    assert orient(0, 1, lp) == (0, 1)
-    assert orient(1, 0, lp) == (0, 1)
-    assert orient(7, 3, lp) == (3, 7)  # same layer: id breaks the tie
     assert lp.key(0) < lp.key(1)
     assert lp.key(1) == (2, 1)
-    assert lp.key(3) < lp.key(7)
-
-
-def test_orient_rejects_self_loop():
-    lp = make_partition([1, 1])
-    with pytest.raises(ValueError, match="self-loop"):
-        orient(1, 1, lp)
+    assert lp.key(3) < lp.key(7)  # same layer: id breaks the tie
 
 
 def test_forward_degree_examples():
@@ -182,16 +171,10 @@ def test_forward_degree_examples():
 def test_orientation_is_acyclic_and_matches_forward_count():
     edges, _ = generate(GenSpec(family="petersen", n=10))
     lp = peel(EdgeStream.from_edges(10, edges), alpha=2, gamma=0.5)
-    g = StoredGraph(10)
-    for u, v in edges:
-        g.add_edge(int(u), int(v))
     out_deg = [0] * 10
-    for u in range(10):
-        for w in g.neighbors(u):
-            a, b = orient(u, w, lp)
-            assert lp.key(a) < lp.key(b)  # strictly, so no directed cycle fits
-            if a == u:
-                out_deg[u] += 1
+    for u, w in edges.tolist():
+        assert lp.key(u) != lp.key(w)  # strictly ordered, so no directed cycle fits
+        out_deg[min(u, w, key=lp.key)] += 1
     measured = measure_forward_degree(EdgeStream.from_edges(10, edges), lp)
     # forward count includes same-layer neighbors on both sides, so it
     # dominates the true out-degree
@@ -216,10 +199,7 @@ def test_orient_ignores_endpoint_listing_order(layers, data):
     n = len(layers)
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1).filter(lambda x: x != u))
-    assert orient(u, v, lp) == orient(v, u, lp)
-    a, b = orient(u, v, lp)
-    assert {a, b} == {u, v}
-    assert lp.key(a) < lp.key(b)
+    assert (lp.key(u) < lp.key(v)) != (lp.key(v) < lp.key(u))
 
 
 @settings(max_examples=60, deadline=None)
