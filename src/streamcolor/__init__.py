@@ -36,9 +36,11 @@ from .delta_color import (
 from .oracle import (
     Coloring,
     DegeneracyResult,
+    RepeatCounts,
     degeneracy,
     greedy_color,
     nash_williams_arboricity,
+    repeat_counts,
     verify_proper,
 )
 from .peel import (
@@ -72,6 +74,7 @@ __all__ = [
     "PeelStalled",
     "PeelState",
     "PhasePartition",
+    "RepeatCounts",
     "StreamFormatError",
     "StreamMeta",
     "build_phase1",
@@ -89,6 +92,7 @@ __all__ = [
     "palette_size",
     "peel",
     "peel_threshold",
+    "repeat_counts",
     "run_arboricity_coloring",
     "run_delta_coloring",
     "run_sweep",

@@ -21,7 +21,14 @@ from .arb_color import run_arboricity_coloring
 from .core import StreamFormatError, measure_max_degree, open_stream
 from .corpus import FAMILIES, ORDERS, GenSpec, generate
 from .delta_color import DEFAULT_C, ColoringAborted, run_delta_coloring
-from .oracle import Coloring, degeneracy, greedy_color, nash_williams_arboricity, verify_proper
+from .oracle import (
+    Coloring,
+    degeneracy,
+    greedy_color,
+    nash_williams_arboricity,
+    repeat_counts,
+    verify_proper,
+)
 from .peel import PeelStalled, peel
 from .sweep import expand_spec, run_sweep
 
@@ -176,6 +183,11 @@ def cmd_oracle(args) -> int:
     if args.which == "degeneracy":
         print(degeneracy(stream).d)
         return 0
+    if args.which == "repeats":
+        r = repeat_counts(stream)
+        print(f"m={r.m} distinct={r.distinct} repeats={r.repeats} "
+              f"max_multiplicity={r.max_multiplicity}")
+        return 0
     if args.order == "reverse-degeneracy":
         order = list(reversed(degeneracy(stream).order))
     else:
@@ -254,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="offline ground-truth computations")
-    p.add_argument("which", choices=("arboricity", "degeneracy", "greedy"))
+    p.add_argument("which", choices=("arboricity", "degeneracy", "greedy", "repeats"))
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--order", default="id", choices=("id", "reverse-degeneracy"),
                    help="vertex order for greedy")

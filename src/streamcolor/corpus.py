@@ -174,48 +174,70 @@ def _gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def _forest_union(n: int, alpha: int, rng: np.random.Generator) -> np.ndarray:
-    """Union of alpha random forests (Kruskal over a random pair sample).
+    """Union of alpha random forests, each Kruskal's forest over 3n random pairs.
 
-    Each forest draws 3n uniform candidate pairs and keeps those joining
-    distinct components, so it is a forest by construction and near-spanning
-    for the densities used here. Deduplication across forests only removes
-    edges, so the union still splits into at most alpha forests: arboricity
-    is at most alpha.
+    Forest f draws 3n uniform candidate pairs (``integers(0, n, 3n)``, then
+    ``integers(0, n - 1, 3n)`` shifted past the first endpoint, so no
+    self-loops) and keeps each candidate whose endpoints no earlier candidate
+    has joined. Kruskal in draw order keeps exactly the minimum spanning
+    forest of the candidates weighted by draw index: the weights are distinct,
+    and of a repeated pair only the first, lighter copy can be kept. So
+    Borůvka rounds (``_min_spanning_forest``) find the same set. Each forest
+    runs on its own copy of the vertices (``f*n + x``), so one run grows all
+    alpha forests. The union keeps the first copy of each pair in forest-major
+    draw order. Deduplication only removes edges, so the union still splits
+    into at most alpha forests: arboricity is at most alpha. The draws and
+    that order are the seeded output, which ``tests/test_golden.py`` pins.
     """
     if n < 1:
         raise ValueError("forest-union needs n >= 1")
     if alpha < 1:
         raise ValueError("forest-union needs alpha >= 1")
-    seen: set[int] = set()
-    out_u: list[int] = []
-    out_v: list[int] = []
-    for _ in range(alpha):
-        if n < 2:
-            break
-        parent = list(range(n))
-        s = 3 * n
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    s = 3 * n
+    ends = np.empty((2, alpha * s), dtype=np.int64)  # candidate i's endpoints, offset by forest
+    for f in range(alpha):
         a = rng.integers(0, n, size=s)
         b = rng.integers(0, n - 1, size=s)
-        b = b + (b >= a)
-        for x, y in zip(a.tolist(), b.tolist()):
-            rx = _find(parent, x)
-            ry = _find(parent, y)
-            if rx == ry:
-                continue
-            parent[rx] = ry
-            code = (min(x, y)) * n + max(x, y)
-            if code not in seen:
-                seen.add(code)
-                out_u.append(x)
-                out_v.append(y)
-    if not out_u:
-        return np.empty((0, 2), dtype=np.int64)
-    return _pairs(out_u, out_v)
+        ends[0, f * s : (f + 1) * s] = a + f * n
+        ends[1, f * s : (f + 1) * s] = b + (b >= a) + f * n
+    idx = np.flatnonzero(_min_spanning_forest(ends, alpha * n))
+    u, v = ends[:, idx] - (idx // s) * n
+    codes = np.minimum(u, v) * n + np.maximum(u, v)
+    first = np.sort(np.unique(codes, return_index=True)[1])
+    return _pairs(u[first], v[first])
+
+
+def _min_spanning_forest(ends: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the minimum spanning forest of edges ``ends[:, i]`` weighing i.
+
+    Borůvka: each round drops the edges inside a component, keeps each
+    component's lightest leaving edge and merges along the kept edges. The
+    live edges' endpoints are renamed to their component roots as it goes.
+    """
+    kept = np.zeros(ends.shape[1], dtype=bool)
+    live = np.arange(ends.shape[1])  # ascending, so position order is weight order
+    cu, cv = ends
+    for _ in range(n.bit_length() + 1):  # each round at least halves the merging components
+        cross = cu != cv
+        live, cu, cv = live[cross], cu[cross], cv[cross]
+        if len(live) == 0:
+            return kept
+        best = np.full(n, len(live))
+        pos = np.arange(len(live))
+        np.minimum.at(best, cu, pos)
+        np.minimum.at(best, cv, pos)
+        roots = np.flatnonzero(best < len(live))
+        pick = best[roots]
+        kept[live[pick]] = True
+        hook = np.arange(n)
+        hook[roots] = np.where(cu[pick] == roots, cv[pick], cu[pick])
+        # two components that picked the same edge point at each other
+        mutual = (hook[hook[roots]] == roots) & (roots < hook[roots])
+        hook[roots[mutual]] = roots[mutual]
+        while not np.array_equal(jumped := hook[hook], hook):
+            hook = jumped
+        cu, cv = hook[cu], hook[cv]
+    raise RuntimeError("Borůvka rounds did not finish")

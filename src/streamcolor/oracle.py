@@ -1,11 +1,11 @@
 """Offline ground-truth oracles.
 
 Everything here is slow-but-obviously-correct reference machinery: properness
-checking, greedy coloring, degeneracy peeling, and brute-force Nash-Williams
-arboricity on tiny graphs. Each reads its graph from an EdgeStream; the
-offline ones copy it into deduplicated neighbor sets in one pass. The
-streaming algorithms are always judged against these, never against
-themselves.
+checking, greedy coloring, degeneracy peeling, brute-force Nash-Williams
+arboricity on tiny graphs, and repeat counts of the edge multiset. Each
+reads its graph from an EdgeStream; greedy, degeneracy and arboricity copy it
+into deduplicated neighbor sets in one pass. The streaming algorithms are
+always judged against these, never against themselves.
 """
 
 from __future__ import annotations
@@ -38,6 +38,19 @@ class Coloring:
 class DegeneracyResult:
     d: int
     order: list[int] = field(repr=False)
+
+
+@dataclass(frozen=True)
+class RepeatCounts:
+    """How often stream edges repeat, either endpoint order counting as one pair."""
+
+    m: int
+    distinct: int
+    max_multiplicity: int
+
+    @property
+    def repeats(self) -> int:
+        return self.m - self.distinct
 
 
 def _adjacency(stream: EdgeStream) -> list[set[int]]:
@@ -73,6 +86,25 @@ def verify_proper(stream: EdgeStream, coloring: Coloring) -> list[tuple[int, int
     _, first = np.unique(edges, return_index=True)
     edges = edges[np.sort(first)]
     return list(zip((edges // n).tolist(), (edges % n).tolist()))
+
+
+def repeat_counts(stream: EdgeStream) -> RepeatCounts:
+    """Edge, distinct-pair and top multiplicity counts, in one pass.
+
+    Keeps one ``min*n+max`` code per stream edge, so it needs O(m) memory.
+    Repeats are why the occurrence counters (max degree, peel degrees) can
+    exceed the simple graph's and cost extra peel passes.
+    """
+    n = stream.n
+    if n > 3_037_000_499:
+        raise ValueError("repeat counts need n <= 3037000499, so that pair codes fit in int64")
+    codes = [np.empty(0, dtype=np.int64)]
+    for u, v in stream.pass_chunks():
+        codes.append(np.minimum(u, v) * n + np.maximum(u, v))
+    counts = np.unique(np.concatenate(codes), return_counts=True)[1]
+    return RepeatCounts(
+        m=int(counts.sum()), distinct=len(counts), max_multiplicity=int(counts.max(initial=0))
+    )
 
 
 def greedy_color(stream: EdgeStream, order: list[int]) -> Coloring:

@@ -304,6 +304,41 @@ def test_oracle_greedy_reverse_degeneracy(tmp_path, capsys):
     assert main(["verify", "-i", str(path), "-c", str(col)]) == 0
 
 
+def test_oracle_repeats_counts_swapped_and_exact_repeats(tmp_path, capsys):
+    clean = tmp_path / "forest.txt"
+    assert main(["gen", "--family", "forest-union", "--n", "40", "--alpha", "3",
+                 "--seed", "2", "-o", str(clean)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "repeats", "-i", str(clean)]) == 0
+    assert capsys.readouterr().out == "m=107 distinct=107 repeats=0 max_multiplicity=1\n"
+
+    header, *body = clean.read_text().splitlines()
+    assert header == "40 107"
+    swapped = [" ".join(reversed(line.split())) for line in body[:3]]
+    noisy = tmp_path / "noisy.txt"
+    # the first edge four times (swapped once, exact twice), the next two twice
+    noisy.write_text("\n".join(["40 112", *body, *swapped, body[0], body[0]]) + "\n")
+    assert main(["oracle", "repeats", "-i", str(noisy)]) == 0
+    assert capsys.readouterr().out == "m=112 distinct=107 repeats=5 max_multiplicity=4\n"
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("3 0\n")
+    assert main(["oracle", "repeats", "-i", str(empty)]) == 0
+    assert capsys.readouterr().out == "m=0 distinct=0 repeats=0 max_multiplicity=0\n"
+
+
+def test_oracle_repeats_at_and_beyond_the_pair_code_range(tmp_path, capsys):
+    # min*n+max fits in int64 exactly while n <= 3037000499
+    top = tmp_path / "top.txt"
+    top.write_text("3037000499 3\n0 3037000498\n3037000498 0\n3037000497 3037000498\n")
+    assert main(["oracle", "repeats", "-i", str(top)]) == 0
+    assert capsys.readouterr().out == "m=3 distinct=2 repeats=1 max_multiplicity=2\n"
+    beyond = tmp_path / "beyond.txt"
+    beyond.write_text("3037000500 1\n0 1\n")
+    assert main(["oracle", "repeats", "-i", str(beyond)]) == 2
+    assert capsys.readouterr().err.startswith("error: repeat counts need n <= 3037000499")
+
+
 ORACLE_GRAPHS = {
     # name: gen arguments; n <= 20 so the arboricity oracle applies
     "gnm": ["--family", "gnm", "--n", "18", "--m", "60", "--seed", "5", "--order", "random"],

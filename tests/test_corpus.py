@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor import EdgeStream, GenSpec, generate, shuffle_order
-from streamcolor.corpus import _gnm
+from streamcolor.corpus import _forest_union, _gnm
 from streamcolor.oracle import degeneracy, nash_williams_arboricity
 from streamcolor.seeding import GEN, rng_for
 
@@ -186,6 +188,78 @@ def test_forest_union_validation():
         generate(GenSpec(family="forest-union", n=10))
     edges, meta = generate(GenSpec(family="forest-union", n=1, alpha=2))
     assert meta.m == 0
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def forest_union_reference(n: int, alpha: int, rng: np.random.Generator) -> np.ndarray:
+    """The per-candidate Kruskal loop that the Borůvka construction replaced."""
+    seen: set[int] = set()
+    out: list[tuple[int, int]] = []
+    for _ in range(alpha):
+        if n < 2:
+            break
+        parent = list(range(n))
+        s = 3 * n
+        a = rng.integers(0, n, size=s)
+        b = rng.integers(0, n - 1, size=s)
+        b = b + (b >= a)
+        for x, y in zip(a.tolist(), b.tolist()):
+            rx = _find(parent, x)
+            ry = _find(parent, y)
+            if rx == ry:
+                continue
+            parent[rx] = ry
+            code = min(x, y) * n + max(x, y)
+            if code not in seen:
+                seen.add(code)
+                out.append((x, y))
+    return np.asarray(out, dtype=np.int64).reshape(-1, 2)
+
+
+def assert_forest_union_matches_reference(n: int, alpha: int, seed: int) -> None:
+    rng_got, rng_want = rng_for(seed, GEN), rng_for(seed, GEN)
+    got = _forest_union(n, alpha, rng_got)
+    want = forest_union_reference(n, alpha, rng_want)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    # the same draws: a generator shared with later calls stays in step
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "n,alpha,seed",
+    [
+        (1, 3, 0),           # no pair exists: no draws, no edges
+        (2, 1, 0),
+        (2, 5, 1),           # one possible pair, repeated in every forest
+        (3, 9, 2),
+        (4, 7, 5),
+        (10, 3, 4),
+        (50, 6, 7),
+        (200, 4, 1),
+        (2000, 6, 3),        # the golden instance's size
+        (1000, 40, 9),
+        (8192, 32, 202),     # the forest-arb bench instance
+    ],
+)
+def test_forest_union_matches_kruskal_reference(n, alpha, seed):
+    assert_forest_union_matches_reference(n, alpha, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    alpha=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+)
+def test_forest_union_matches_kruskal_reference_property(n, alpha, seed):
+    assert_forest_union_matches_reference(n, alpha, seed)
 
 
 def test_unknown_family_and_order():

@@ -228,7 +228,7 @@ def test_large_gnm_twenty_seeds_no_abort_all_proper():
 
     On this instance every seed puts some class max degree slightly above
     r - 1 (71..77 against r = 71), so abort cannot be ruled out from the
-    partition alone and each seed gets a real run. Slow (~1 min).
+    partition alone and each seed gets a real run. Slow (about 10 s on 2 vCPUs).
     """
     spec = GenSpec(family="gnm", n=2**14, m=3_700_000, seed=101)
     edges, meta = generate(spec)

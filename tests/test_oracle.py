@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from streamcolor import (
     greedy_color,
     measure_max_degree,
     nash_williams_arboricity,
+    repeat_counts,
     verify_proper,
 )
 
@@ -124,6 +126,17 @@ def test_greedy_color_proper_within_max_degree_plus_one(ng, rnd):
     assert c.colors_used <= max(degree) + 1
     assert c.palette_size == max(degree) + 1
     assert all(0 <= col < c.palette_size for col in c.assignment)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graph)
+def test_repeat_counts_match_pair_counter(ng):
+    n, pairs = ng  # may repeat a pair, in either endpoint order
+    counts = Counter((min(u, v), max(u, v)) for u, v in pairs)
+    r = repeat_counts(EdgeStream.from_edges(n, pairs))
+    assert (r.m, r.distinct) == (len(pairs), len(counts))
+    assert r.repeats == len(pairs) - len(counts)
+    assert r.max_multiplicity == max(counts.values(), default=0)
 
 
 @pytest.mark.parametrize(
