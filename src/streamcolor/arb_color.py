@@ -3,8 +3,9 @@
 Derived knobs: eps' = eps/6 and gamma = eps/3. Vertices are split into
 ell = max(1, ceil((eps'/c) * ((2+gamma)*alpha) / log2 n)) random classes and
 only same-class edges are stored, each once as an int64 min*n+max code
-(np.unique removes repeats and swapped endpoints). Peeling runs on the full graph in parallel
-with collection, sharing pass 1, so the whole run costs exactly k passes.
+(sorting the codes drops repeats and swapped endpoints). Peeling runs on the
+full graph in parallel with collection, sharing pass 1, so the whole run
+costs exactly k passes.
 Afterwards each class subgraph is colored offline against the peel
 orientation with a fresh palette of (max out-degree + 1) colors, giving
 total colors at most sum_i (out_i + 1).
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdgeStream
+from .core import EdgeStream, distinct_sorted, pair_codes
 from .delta_color import DEFAULT_C, validate_run_params
 from .oracle import Coloring
 from .peel import LayerPartition, PeelStalled, PeelState
@@ -149,11 +150,11 @@ def run_arboricity_coloring(
         for u, v in stream.pass_chunks():
             same = class_of[u] == class_of[v]
             su, sv = u[same], v[same]
-            codes.append(np.minimum(su, sv) * n + np.maximum(su, sv))
+            codes.append(pair_codes(su, sv, n))
             ps.consume(u, v)
         # one min*n+max code per stored edge, so repeats and swapped
         # endpoints are stored once
-        stored = np.unique(np.concatenate(codes))
+        stored = distinct_sorted(np.concatenate(codes))
         del codes
         ps.finish_round()
         while ps.active_count:

@@ -12,8 +12,10 @@ A stream is a multigraph: the same edge may arrive more than once, in
 either endpoint order. Counters (max degree, peel degrees, forward and
 out-degrees) count every occurrence, since O(n) counters cannot
 deduplicate, so the ``delta`` and ``alpha`` bounds a run is given must bound
-the multigraph. Stored edges and the oracles' adjacency are deduplicated
-sets; that only saves space and leaves every guarantee intact.
+the multigraph. Stored edges are deduplicated by their ``pair_codes``, and
+the oracles' adjacency keeps each neighbor once; that only saves space and
+leaves every guarantee intact. ``first_occurrences`` and ``distinct_sorted``
+are the one dedup idiom: a sort and a neighbour compare.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
 _INT64_MAX = 2**63 - 1
+MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max fits
 
 
 class StreamFormatError(ValueError):
@@ -209,3 +212,39 @@ def measure_max_degree(stream: EdgeStream) -> int:
         counts += np.bincount(v, minlength=stream.n)
     return int(counts.max()) if stream.n else 0
 
+
+def pair_codes(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """One int64 code ``min*n+max`` per edge, equal for either endpoint order."""
+    if n > MAX_PAIR_N:
+        raise ValueError(f"pair codes need n <= {MAX_PAIR_N}, so that they fit in int64")
+    return np.minimum(u, v) * n + np.maximum(u, v)
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a sorted array."""
+    if len(ordered) == 0:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+
+
+def first_occurrences(codes: np.ndarray) -> np.ndarray:
+    """Ascending indices of each value's first occurrence in codes.
+
+    Equals numpy's ``unique(codes, return_index=True)`` indices, sorted: an
+    unstable argsort groups equal values, and the smallest index of each
+    group is its first occurrence.
+    """
+    order = np.argsort(codes)
+    first = np.minimum.reduceat(order, _run_starts(codes[order]))
+    first.sort()
+    return first
+
+
+def distinct_sorted(codes: np.ndarray, return_counts: bool = False):
+    """numpy's ``unique(codes)``, and its ``return_counts``, by a sort and a
+    neighbour compare; numpy 2 may take a slower hash path for that call."""
+    ordered = np.sort(codes)
+    starts = _run_starts(ordered)
+    if return_counts:
+        return ordered[starts], np.diff(starts, append=len(ordered))
+    return ordered[starts]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StreamMeta
+from .core import StreamMeta, first_occurrences, pair_codes
 from .seeding import GEN, ORDER, rng_for
 
 FAMILIES = ("gnm", "forest-union", "complete", "star", "cycle", "path", "petersen")
@@ -164,9 +164,9 @@ def _gnm(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
         a = rng.integers(0, n, size=batch)
         b = rng.integers(0, n - 1, size=batch)
         b = b + (b >= a)
-        codes = np.minimum(a, b) * n + np.maximum(a, b)
-        uniq, first = np.unique(codes, return_index=True)
-        take = np.sort(first[~np.isin(uniq, kept, assume_unique=True)])[: m - got]
+        codes = pair_codes(a, b, n)
+        first = first_occurrences(codes)
+        take = first[~np.isin(codes[first], kept, assume_unique=True)][: m - got]
         parts.append(_pairs(a[take], b[take]))
         got += len(take)
         if got < m:  # the sets are disjoint, so a sort merges them
@@ -205,8 +205,7 @@ def _forest_union(n: int, alpha: int, rng: np.random.Generator) -> np.ndarray:
         ends[1, f * s : (f + 1) * s] = b + (b >= a) + f * n
     idx = np.flatnonzero(_min_spanning_forest(ends, alpha * n))
     u, v = ends[:, idx] - (idx // s) * n
-    codes = np.minimum(u, v) * n + np.maximum(u, v)
-    first = np.sort(np.unique(codes, return_index=True)[1])
+    first = first_occurrences(pair_codes(u, v, n))
     return _pairs(u[first], v[first])
 
 

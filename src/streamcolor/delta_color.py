@@ -2,10 +2,13 @@
 
 The vertex set is split into ell random classes up front; each class owns a
 disjoint slot palette of size r. Cross-class edges are discarded on arrival.
-Same-class edges are stored, and when the endpoints currently share a slot
-the first-listed endpoint moves to the smallest slot not held by any of its
-stored same-class neighbors. If no slot is free the run aborts; there is no
-retry, the caller reruns with a fresh seed or a larger budget.
+Same-class edges are stored, each pair once, and when the endpoints currently
+share a slot the first-listed endpoint moves to the smallest slot not held by
+any of its stored same-class neighbors. The pass only collects the same-class
+edges into arrays; the rule is then replayed over them in stream order, so
+every decision is the one made on arrival. If no slot is free the run
+aborts; there is no retry, the caller reruns with a fresh seed or a larger
+budget.
 
 ell = max(1, ceil(eps * Delta / (2 * c * log2 n)))
 r   = ceil((1 + 2/eps) * c * log2 n) + 1
@@ -18,12 +21,11 @@ multi-class machinery is exercised at desk scale.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EdgeStream
+from .core import EdgeStream, first_occurrences, pair_codes
 from .oracle import Coloring
 from .seeding import PHASE1, rng_for
 
@@ -134,43 +136,64 @@ class DeltaRunMetrics:
 class OnlineColorState:
     """Mutable per-run state: slots, stored same-class edges, instrumentation.
 
-    Classes partition the vertices, so one adjacency holds every class's
-    stored graph: all stored neighbors of a vertex are in its class.
+    The pass hands each chunk to collect(), which keeps its same-class
+    occurrences in stream order as two int64 arrays, 16 B per occurrence: on
+    a simple graph, 16 B per stored edge. replay() then applies the online
+    rule to them one by one, so every decision equals the one made on
+    arrival. Classes partition the vertices, so one flat neighbor list holds
+    every class's stored graph: vertex x's stored neighbors, in arrival
+    order, are nbr[start[x]:fill[x]].
     """
 
     def __init__(self, partition: PhasePartition, palettes: ClassPalettes):
         n = partition.n
         self.partition = partition
         self.palettes = palettes
-        self.class_of: list[int] = partition.class_of.tolist()
         self.slot: list[int] = [1] * n  # every vertex starts on slot 1
-        self.adj: defaultdict[int, set[int]] = defaultdict(set)  # keyed on first store
-        self.stored_edges = 0
+        self.start: list[int] = [0] * n  # laid out by replay()
+        self.fill: list[int] = [0] * n
         self.max_edge_cost = 0
+        self._us = [np.empty(0, dtype=np.int64)]  # so an edgeless pass concatenates
+        self._vs = [np.empty(0, dtype=np.int64)]
         self._occ = [0] * (palettes.r + 1)  # slot occupancy scratch, stamp-cleared
         self._stamp = 0
 
-    def consume(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Process one chunk of the pass, edge by edge in stream order.
-
-        Cross-class edges are dropped up front: palettes are disjoint, so
-        they never conflict.
-        """
+    def collect(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Keep one chunk's same-class edges. Cross-class edges are dropped:
+        palettes are disjoint, so they never conflict."""
         cls = self.partition.class_of
         same = cls[u] == cls[v]
-        u, v = u[same], v[same]
-        adj = self.adj
-        slot = self.slot
-        for a, b in zip(u.tolist(), v.tolist()):
-            neighbors = adj[a]
-            if b not in neighbors:
-                neighbors.add(b)
-                adj[b].add(a)
-                self.stored_edges += 1
-            if slot[a] == slot[b]:
-                self._recolor(a, neighbors)
+        self._us.append(u[same])
+        self._vs.append(v[same])
 
-    def _recolor(self, u: int, neighbors: set[int]) -> None:
+    def replay(self) -> None:
+        """Run the online rule over the collected edges in stream order.
+
+        A pair's first occurrence stores it in both endpoints' neighbor
+        lists, which are sized up front from the distinct degrees. Every
+        occurrence, repeat or not, moves its first-listed endpoint when the
+        endpoints share a slot.
+        """
+        u, v = np.concatenate(self._us), np.concatenate(self._vs)
+        self._us, self._vs = [], []  # u and v now hold the only copy
+        n = self.partition.n
+        first = np.zeros(len(u), dtype=bool)
+        first[first_occurrences(pair_codes(u, v, n))] = True
+        degree = np.bincount(u[first], minlength=n) + np.bincount(v[first], minlength=n)
+        self.start = start = (np.cumsum(degree) - degree).tolist()
+        self.fill = fill = list(start)
+        nbr = [0] * int(degree.sum())
+        slot = self.slot
+        for a, b, fresh in zip(u.tolist(), v.tolist(), first.tolist()):
+            if fresh:
+                nbr[fill[a]] = b
+                fill[a] += 1
+                nbr[fill[b]] = a
+                fill[b] += 1
+            if slot[a] == slot[b]:
+                self._recolor(a, nbr[start[a] : fill[a]])
+
+    def _recolor(self, u: int, neighbors: list[int]) -> None:
         # smallest slot not held by any stored neighbor of u in its class
         slot = self.slot
         occ = self._occ
@@ -189,26 +212,26 @@ class OnlineColorState:
         if cost > self.max_edge_cost:
             self.max_edge_cost = cost
         if not chosen:
-            raise ColoringAborted(u, self.class_of[u], len(neighbors), self.partition.seed)
+            raise ColoringAborted(
+                u, int(self.partition.class_of[u]), len(neighbors), self.partition.seed
+            )
         slot[u] = chosen
 
     def coloring(self) -> Coloring:
         pal = self.palettes
-        cls = self.class_of
-        slot = self.slot
-        assignment = [pal.global_id(cls[v], slot[v]) for v in range(len(cls))]
+        assignment = pal.global_id(self.partition.class_of, np.asarray(self.slot)).tolist()
         return Coloring(assignment=assignment, palette_size=pal.ell * pal.r)
 
+    def _degree(self) -> np.ndarray:
+        return np.asarray(self.fill) - np.asarray(self.start)
+
     def per_class_degree(self) -> list[int]:
-        adj = self.adj
-        vertices = np.fromiter(adj.keys(), dtype=np.int64, count=len(adj))
-        degree = np.fromiter(map(len, adj.values()), dtype=np.int64, count=len(adj))
         out = np.zeros(self.partition.ell, dtype=np.int64)
-        np.maximum.at(out, self.partition.class_of[vertices] - 1, degree)
+        np.maximum.at(out, self.partition.class_of - 1, self._degree())
         return out.tolist()
 
     def peak_stored_edges(self) -> int:
-        return self.stored_edges  # the adjacency never shrinks
+        return int(self._degree().sum()) // 2  # stored edges are never dropped
 
     def metrics(self, m: int, passes: int, aborted: bool) -> DeltaRunMetrics:
         per_class = self.per_class_degree()
@@ -240,14 +263,16 @@ def run_delta_coloring(
 
     delta must upper-bound the true max degree (measure_max_degree costs one
     extra pass if the caller does not know it). Raises ColoringAborted, with
-    metrics attached, when a class palette is exhausted.
+    metrics attached, when a class palette is exhausted; the pass is read to
+    its end before the replay finds that out.
     """
     partition, palettes = build_phase1(stream.n, delta, epsilon, c, seed)
     state = OnlineColorState(partition, palettes)
     before = stream.pass_count
+    for u, v in stream.pass_chunks():
+        state.collect(u, v)
     try:
-        for u, v in stream.pass_chunks():
-            state.consume(u, v)
+        state.replay()
     except ColoringAborted as exc:
         exc.metrics = state.metrics(m=stream.m, passes=stream.pass_count - before, aborted=True)
         raise

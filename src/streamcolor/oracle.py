@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EdgeStream
+from .core import MAX_PAIR_N, EdgeStream, distinct_sorted, first_occurrences, pair_codes
 
 
 @dataclass
@@ -81,10 +81,9 @@ def verify_proper(stream: EdgeStream, coloring: Coloring) -> list[tuple[int, int
     for u, v in stream.pass_chunks():
         same = code[u] == code[v]
         u, v = u[same], v[same]
-        found.append(np.minimum(u, v) * n + np.maximum(u, v))
+        found.append(pair_codes(u, v, n))
     edges = np.concatenate(found)
-    _, first = np.unique(edges, return_index=True)
-    edges = edges[np.sort(first)]
+    edges = edges[first_occurrences(edges)]
     return list(zip((edges // n).tolist(), (edges % n).tolist()))
 
 
@@ -96,12 +95,12 @@ def repeat_counts(stream: EdgeStream) -> RepeatCounts:
     exceed the simple graph's and cost extra peel passes.
     """
     n = stream.n
-    if n > 3_037_000_499:
-        raise ValueError("repeat counts need n <= 3037000499, so that pair codes fit in int64")
+    if n > MAX_PAIR_N:
+        raise ValueError(f"repeat counts need n <= {MAX_PAIR_N}, so that pair codes fit in int64")
     codes = [np.empty(0, dtype=np.int64)]
     for u, v in stream.pass_chunks():
-        codes.append(np.minimum(u, v) * n + np.maximum(u, v))
-    counts = np.unique(np.concatenate(codes), return_counts=True)[1]
+        codes.append(pair_codes(u, v, n))
+    counts = distinct_sorted(np.concatenate(codes), return_counts=True)[1]
     return RepeatCounts(
         m=int(counts.sum()), distinct=len(counts), max_multiplicity=int(counts.max(initial=0))
     )

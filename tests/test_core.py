@@ -14,6 +14,7 @@ from streamcolor import (
     open_stream,
     run_delta_coloring,
 )
+from streamcolor.core import MAX_PAIR_N, distinct_sorted, first_occurrences, pair_codes
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -189,3 +190,54 @@ def test_stream_arrays_are_int64():
     s = EdgeStream.from_edges(4, np.asarray(K4_EDGES, dtype=np.int32))
     for u, v in s.pass_chunks():
         assert u.dtype == np.int64 and v.dtype == np.int64
+
+
+INT64_EDGE = 2**63 - 1
+code_values = st.one_of(
+    st.integers(-5, 5),  # small ranges make repeats likely
+    st.integers(-INT64_EDGE, INT64_EDGE),
+    st.sampled_from([-INT64_EDGE, INT64_EDGE, -(2**63), 0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(code_values, max_size=80))
+def test_dedup_helpers_match_numpy_unique(values):
+    codes = np.asarray(values, dtype=np.int64)
+    values_, index, counts = np.unique(codes, return_index=True, return_counts=True)
+    first = first_occurrences(codes)
+    assert first.tolist() == np.sort(index).tolist()
+    assert first.dtype == index.dtype
+    assert np.array_equal(distinct_sorted(codes), values_)
+    got_values, got_counts = distinct_sorted(codes, return_counts=True)
+    assert np.array_equal(got_values, values_) and got_counts.tolist() == counts.tolist()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [7],
+        [3, 3, 3, 3],
+        [-1, -3, -1, -2, -3],
+        [INT64_EDGE, -INT64_EDGE, INT64_EDGE, -INT64_EDGE],
+    ],
+)
+def test_dedup_helpers_on_edge_inputs(values):
+    codes = np.asarray(values, dtype=np.int64)
+    index = np.unique(codes, return_index=True)[1]
+    assert first_occurrences(codes).tolist() == np.sort(index).tolist()
+    assert distinct_sorted(codes).tolist() == np.unique(codes).tolist()
+    assert distinct_sorted(codes).dtype == np.int64
+
+
+def test_pair_codes_ignore_endpoint_order_and_guard_int64():
+    u = np.asarray([0, 5, 2], dtype=np.int64)
+    v = np.asarray([5, 0, 3], dtype=np.int64)
+    assert pair_codes(u, v, 6).tolist() == [5, 5, 15]
+    top = MAX_PAIR_N
+    assert pair_codes(np.asarray([top - 1]), np.asarray([top - 2]), top).tolist() == [
+        (top - 2) * top + top - 1
+    ]
+    with pytest.raises(ValueError, match="pair codes need n <= 3037000499"):
+        pair_codes(u, v, top + 1)

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import defaultdict
+from dataclasses import asdict
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from streamcolor import (
     ClassPalettes,
     ColoringAborted,
+    DeltaRunMetrics,
     EdgeStream,
     GenSpec,
     OnlineColorState,
@@ -92,14 +97,16 @@ def single_class_state(n: int, r: int) -> OnlineColorState:
 def test_process_edge_discards_cross_class():
     part = PhasePartition(ell=2, class_of=np.asarray([1, 2], dtype=np.int64), seed=0)
     state = OnlineColorState(part, ClassPalettes(ell=2, r=5))
-    state.consume(np.asarray([0]), np.asarray([1]))
+    state.collect(np.asarray([0]), np.asarray([1]))
+    state.replay()
     assert state.peak_stored_edges() == 0
     assert state.slot == [1, 1]  # nobody recolors
 
 
 def test_process_edge_moves_first_endpoint():
     state = single_class_state(2, r=5)
-    state.consume(np.asarray([0]), np.asarray([1]))
+    state.collect(np.asarray([0]), np.asarray([1]))
+    state.replay()
     assert state.slot == [2, 1]
     assert state.peak_stored_edges() == 1
 
@@ -278,3 +285,113 @@ def test_random_small_graphs_proper_in_one_pass(gs):
     assert coloring.colors_used <= metrics.ell * metrics.r
     g = EdgeStream.from_edges(n, edges)
     assert verify_proper(g, coloring) == []
+
+
+class SetReference:
+    """The per-edge dict-of-sets state that the array replay replaced.
+
+    consume() reads each chunk on arrival: a new same-class pair goes into
+    both endpoints' neighbor sets, and every same-class occurrence moves its
+    first-listed endpoint when the endpoints share a slot.
+    """
+
+    def __init__(self, partition: PhasePartition, palettes: ClassPalettes):
+        self.partition = partition
+        self.palettes = palettes
+        self.class_of = partition.class_of.tolist()
+        self.slot = [1] * partition.n
+        self.adj: defaultdict[int, set[int]] = defaultdict(set)
+        self.stored_edges = 0
+        self.max_edge_cost = 0
+
+    def consume(self, u: np.ndarray, v: np.ndarray) -> None:
+        cls = self.partition.class_of
+        same = cls[u] == cls[v]
+        for a, b in zip(u[same].tolist(), v[same].tolist()):
+            neighbors = self.adj[a]
+            if b not in neighbors:
+                neighbors.add(b)
+                self.adj[b].add(a)
+                self.stored_edges += 1
+            if self.slot[a] == self.slot[b]:
+                self._recolor(a, neighbors)
+
+    def _recolor(self, u: int, neighbors: set[int]) -> None:
+        used = {self.slot[w] for w in neighbors}
+        r = self.palettes.r
+        chosen = next((s for s in range(1, r + 1) if s not in used), 0)
+        cost = len(neighbors) + (chosen or r)
+        self.max_edge_cost = max(self.max_edge_cost, cost)
+        if not chosen:
+            raise ColoringAborted(u, self.class_of[u], len(neighbors), self.partition.seed)
+        self.slot[u] = chosen
+
+    def metrics(self, m: int, passes: int, aborted: bool) -> dict:
+        pal = self.palettes
+        per_class = [0] * pal.ell
+        for x, neighbors in self.adj.items():
+            per_class[self.class_of[x] - 1] = max(per_class[self.class_of[x] - 1], len(neighbors))
+        colors = len({pal.global_id(k, s) for k, s in zip(self.class_of, self.slot)})
+        return asdict(DeltaRunMetrics(
+            n=self.partition.n, m=m, ell=pal.ell, r=pal.r, passes=passes,
+            colors_used=0 if aborted else colors, peak_stored_edges=self.stored_edges,
+            max_class_degree=max(per_class), per_class_degree=per_class, aborted=aborted,
+            seed=self.partition.seed, max_edge_cost=self.max_edge_cost,
+        ))
+
+
+def set_reference_run(stream: EdgeStream, delta: int, epsilon: float, c: float, seed: int):
+    """(assignment or None, abort forensics or None, metrics) of the reference."""
+    partition, palettes = build_phase1(stream.n, delta, epsilon, c, seed)
+    ref = SetReference(partition, palettes)
+    try:
+        for u, v in stream.pass_chunks():
+            ref.consume(u, v)
+    except ColoringAborted as exc:
+        forensics = (exc.vertex, exc.class_id, exc.mono_degree)
+        return None, forensics, ref.metrics(stream.m, stream.pass_count, aborted=True)
+    assignment = [palettes.global_id(k, s) for k, s in zip(ref.class_of, ref.slot)]
+    return assignment, None, ref.metrics(stream.m, stream.pass_count, aborted=False)
+
+
+def replay_run(stream: EdgeStream, delta: int, epsilon: float, c: float, seed: int):
+    try:
+        coloring, metrics = run_delta_coloring(stream, delta, epsilon, c, seed)
+    except ColoringAborted as exc:
+        return None, (exc.vertex, exc.class_id, exc.mono_degree), asdict(exc.metrics)
+    return coloring.assignment, None, asdict(metrics)
+
+
+@st.composite
+def multigraph_run(draw):
+    """A multigraph with repeats and swapped endpoints, plus run parameters
+    that give ell > 1 and a palette small enough that some runs abort."""
+    n = draw(st.integers(4, 24))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2))
+    pairs = draw(st.lists(pair, min_size=2 * n, max_size=8 * n))
+    edges = [(a, b + (b >= a)) for a, b in pairs]  # exact repeats come from the small n
+    swapped = draw(st.lists(st.sampled_from(edges), max_size=40))
+    edges = draw(st.permutations(edges + [(b, a) for a, b in swapped]))
+    epsilon = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    c = draw(st.sampled_from([0.1, 0.2, 0.5]))
+    # up to four classes: ell = ceil(delta / unit)
+    unit = 2 * c * math.log2(n) / epsilon
+    delta = draw(st.integers(1, max(1, math.floor(4 * unit))))
+    return n, edges, delta, epsilon, c, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraph_run())
+def test_replay_matches_set_reference(run):
+    """The array replay equals the per-edge dict-of-sets run at every chunk
+    size: colorings, metrics, abort forensics and abort-time metrics."""
+    n, edges, delta, epsilon, c, seed = run
+    assume(class_count(n, delta, epsilon, c) > 1)
+    default = EdgeStream.pass_chunks
+    for k in (1, 7, None):
+        chunked = default if k is None else functools.partialmethod(default, chunk_size=k)
+        with patch.object(EdgeStream, "pass_chunks", chunked):
+            got = replay_run(EdgeStream.from_edges(n, edges), delta, epsilon, c, seed)
+            want = set_reference_run(EdgeStream.from_edges(n, edges), delta, epsilon, c, seed)
+        assert got == want
+    event("aborted" if got[1] else "finished")
