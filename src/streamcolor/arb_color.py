@@ -61,8 +61,8 @@ def _orient_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tail and head of each edge, plus the per-vertex key layer*n + v.
 
-    The integer key orders vertices exactly as lp.key's (layer, id) tuples,
-    and every edge points from its smaller-key endpoint to the larger.
+    The integer key orders vertices as (layer, id) tuples would, and every edge
+    points from its smaller-key endpoint to the larger.
     """
     n = lp.n
     key = np.asarray(lp.layer, dtype=np.int64) * np.int64(n) + np.arange(n, dtype=np.int64)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .arb_color import run_arboricity_coloring
-from .core import StreamFormatError, measure_max_degree, open_stream
+from .core import StreamFormatError, first_occurrences, measure_max_degree, open_stream, read_pairs
 from .corpus import FAMILIES, ORDERS, GenSpec, generate
 from .delta_color import DEFAULT_C, ColoringAborted, run_delta_coloring
 from .oracle import (
@@ -65,29 +65,24 @@ def write_coloring_file(path: str, coloring: Coloring) -> None:
 
 
 def read_coloring_file(path: str, n: int) -> Coloring:
-    assignment: list[int | None] = [None] * n
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise StreamFormatError("expected '<vertex> <color>'", line_no)
-            try:
-                v, color = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise StreamFormatError("non-integer field", line_no) from None
-            if not (0 <= v < n):
-                raise StreamFormatError(f"vertex out of range [0, {n})", line_no)
-            if assignment[v] is not None:
-                raise StreamFormatError(f"vertex {v} is colored twice", line_no)
-            assignment[v] = color
-    missing = [v for v, c in enumerate(assignment) if c is None]
-    if missing:
-        raise ValueError(f"coloring missing a vertex: first missing id {missing[0]}")
-    filled = [int(c) for c in assignment]  # type: ignore[arg-type]
-    return Coloring(assignment=filled, palette_size=max(filled) + 1 if filled else 0)
+    def check(_head, vertex, _color, lines):
+        twice = np.ones(len(vertex), dtype=bool)
+        twice[first_occurrences(vertex)] = False
+        bad = twice | (vertex < 0) | (vertex >= n)
+        if bad.any():
+            i = int(bad.argmax())
+            message = f"vertex out of range [0, {n})"
+            if twice[i]:
+                message = f"vertex {vertex[i]} is colored twice"
+            raise StreamFormatError(message, lines[i])
+
+    _, vertex, color = read_pairs(Path(path), False, check)
+    if len(vertex) < n:
+        first = int(np.bincount(vertex, minlength=n).argmin())
+        raise ValueError(f"coloring missing a vertex: first missing id {first}")
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[vertex] = color
+    return Coloring(assignment=assignment.tolist(), palette_size=int(color.max()) + 1 if n else 0)
 
 
 def cmd_gen(args) -> int:
@@ -287,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StreamFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # e.g. a header declaring more vertices than fit in memory

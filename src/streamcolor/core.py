@@ -23,7 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,13 +33,10 @@ MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max f
 
 
 class StreamFormatError(ValueError):
-    """Bad edge-list input. Carries the 1-based line number when known."""
+    """Bad edge-list or coloring input. Cites the 1-based line number when known."""
 
     def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 @dataclass
@@ -78,11 +75,7 @@ class EdgeStream:
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise StreamFormatError("edges must be pairs of endpoints")
         u, v = arr[:, 0].copy(), arr[:, 1].copy()
-        if len(u) and bool((u == v).any()):
-            bad = int(u[np.argmax(u == v)])
-            raise StreamFormatError(f"self-loop at vertex {bad}")
-        if len(u) and (int(min(u.min(), v.min())) < 0 or int(max(u.max(), v.max())) >= n):
-            raise StreamFormatError(f"endpoint out of range [0, {n})")
+        check_edges(n, u, v)
         return cls(n, u, v)
 
     @property
@@ -107,28 +100,51 @@ def open_stream(source, n: int | None = None) -> EdgeStream:
     read is part of opening and does not count as a pass.
     """
     if isinstance(source, (str, Path)):
-        return _parse_edge_file(Path(source))
+        (n, declared_m), u, v = read_pairs(
+            Path(source), True, lambda head, u, v, lines: check_edges(head[0], u, v, lines)
+        )
+        if declared_m and len(u) != declared_m:
+            raise StreamFormatError(f"header declares m={declared_m} but file has {len(u)} edges")
+        return EdgeStream(n, u, v)
     if n is None:
         raise ValueError("in-memory streams need an explicit vertex count n")
     return EdgeStream.from_edges(n, source)
 
 
-def _parse_edge_file(path: Path) -> EdgeStream:
-    parsed = _parse_plain(path.read_bytes())
-    if parsed is None:
-        return _scan_edge_file(path)
-    return EdgeStream(*parsed)
+def check_edges(n: int, u: np.ndarray, v: np.ndarray, lines: Sequence[int] | None = None) -> None:
+    """Raise StreamFormatError for the first self-loop or endpoint outside
+    [0, n), citing ``lines[i]`` as the line of pair i when lines are given."""
+    bad = (u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n)
+    if bad.any():
+        i = int(bad.argmax())
+        loop = u[i] == v[i]
+        message = f"self-loop at vertex {u[i]}" if loop else f"endpoint out of range [0, {n})"
+        raise StreamFormatError(message, None if lines is None else lines[i])
 
 
-def _parse_plain(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """Vectorized parse of an obviously well-formed edge file, else None.
+def read_pairs(path: Path, header: bool, check: Callable[..., None]):
+    """Read a file of ``<a> <b>`` int64 pairs, after an ``<n> <m>`` line when
+    ``header``, as (header or None, a, b): by numpy when the file is plain, else
+    by a line scan that stops at the first format error. ``check(head, a, b,
+    lines)``, with ``lines[i]`` the line of pair i, raises the other errors
+    before that one, so either route reports the first error in the file.
+    """
+    head, a, b, lines, error = _parse_plain(path.read_bytes(), header) or _scan_pairs(path, header)
+    if header and head is None:
+        raise error or StreamFormatError("missing header line '<n> <m>'")
+    check(head, a, b, lines)
+    if error is not None:
+        raise error
+    return head, a, b
+
+
+def _parse_plain(data: bytes, header: bool):
+    """``_scan_pairs`` of a plain file, vectorized, else None.
 
     Accepts only digits, spaces and newlines laid out as ``<digits> <digits>``
     lines, each ending in a newline, with at most ``_MAX_DIGITS`` digits per
-    number, and edges that pass every check of the scan. Everything else
-    (comments, blank lines, signs, tabs, CRLF, bad edges) returns None and is
-    left to ``_scan_edge_file``, the only code that raises StreamFormatError,
-    so errors and their line numbers do not depend on the route.
+    number, so that every value fits in int64. Everything else (comments, blank
+    lines, signs, tabs, CRLF) returns None and is left to ``_scan_pairs``.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     if len(buf) == 0 or buf[-1] != ord("\n"):
@@ -150,53 +166,44 @@ def _parse_plain(data: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
             return None
     if len(vals) != count:
         return None
-    n, declared_m = int(vals[0]), int(vals[1])
-    u, v = vals[2::2].copy(), vals[3::2].copy()
-    del vals
-    if declared_m and len(u) != declared_m:
-        return None
-    if len(u) and (bool((u == v).any()) or int(max(u.max(), v.max())) >= n):
-        return None
-    return n, u, v
+    head = (int(vals[0]), int(vals[1])) if header else None
+    vals = vals[2 * header :]
+    lines = range(1 + header, 1 + header + len(vals) // 2)
+    return head, vals[0::2].copy(), vals[1::2].copy(), lines, None
 
 
-def _scan_edge_file(path: Path) -> EdgeStream:
-    n: int | None = None
-    declared_m = 0
-    us: list[int] = []
-    vs: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise StreamFormatError("expected two whitespace-separated fields", line_no)
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise StreamFormatError("non-integer field", line_no) from None
-            if n is None:
-                if a < 0 or b < 0:
-                    raise StreamFormatError("header '<n> <m>' must be non-negative", line_no)
-                n, declared_m = a, b
-                continue
-            if a == b:
-                raise StreamFormatError(f"self-loop at vertex {a}", line_no)
-            if not (0 <= a < n) or not (0 <= b < n):
-                raise StreamFormatError(f"endpoint out of range [0, {n})", line_no)
-            if a > _INT64_MAX or b > _INT64_MAX:  # only under a header n beyond int64
-                raise StreamFormatError("endpoint does not fit in a signed 64-bit integer", line_no)
-            us.append(a)
-            vs.append(b)
-    if n is None:
-        raise StreamFormatError("missing header line '<n> <m>'")
-    if declared_m and len(us) != declared_m:
-        raise StreamFormatError(f"header declares m={declared_m} but file has {len(us)} edges")
-    u = np.asarray(us, dtype=np.int64)
-    v = np.asarray(vs, dtype=np.int64)
-    return EdgeStream(n, u, v)
+def _scan_pairs(path: Path, header: bool):
+    """The line scan: skips blank and ``#`` lines and only tokenizes, stopping
+    at the first line without two integers, with a negative header value or
+    with a pair value beyond int64. Returns (head, a, b, line of each pair,
+    that format error or None)."""
+    head, vals, lines, error = None, [], [], None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                text = raw.strip()
+                if not text or text.startswith("#"):
+                    continue
+                parts = text.split()
+                if len(parts) != 2:
+                    raise StreamFormatError("expected two whitespace-separated fields", line_no)
+                try:
+                    a, b = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise StreamFormatError("non-integer field", line_no) from None
+                if header and head is None:
+                    if a < 0 or b < 0:
+                        raise StreamFormatError("header '<n> <m>' must be non-negative", line_no)
+                    head = a, b
+                    continue
+                if not -_INT64_MAX - 1 <= min(a, b) <= max(a, b) <= _INT64_MAX:
+                    raise StreamFormatError("value outside the signed 64-bit range", line_no)
+                vals += a, b
+                lines.append(line_no)
+    except StreamFormatError as exc:
+        error = exc
+    arr = np.array(vals, dtype=np.int64)
+    return head, arr[0::2].copy(), arr[1::2].copy(), lines, error
 
 
 def measure_max_degree(stream: EdgeStream) -> int:

@@ -79,10 +79,6 @@ class LayerPartition:
     def n(self) -> int:
         return len(self.layer)
 
-    def key(self, v: int) -> tuple[int, int]:
-        """Orientation key: every edge points from the smaller key to the larger."""
-        return (self.layer[v], v)
-
 
 class PeelState:
     """Round-by-round peeling; the caller drives one stream pass per round.

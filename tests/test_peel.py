@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from streamcolor import (
     peel,
     peel_threshold,
 )
+from streamcolor.arb_color import _orient_arrays
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 STAR6_EDGES = [(0, i) for i in range(1, 6)]
@@ -32,6 +34,12 @@ def make_partition(layer: list[int]) -> LayerPartition:
         k=max(layer, default=0), layer=layer, alpha=1, gamma=0.5,
         threshold=2, witnessed_degree=[0] * len(layer), passes=0,
     )
+
+
+def orientation_key(lp: LayerPartition) -> list[int]:
+    """The per-vertex ``layer*n + v`` key; every edge points from its smaller end."""
+    none = np.zeros(0, dtype=np.int64)
+    return _orient_arrays(none, none, lp)[2].tolist()
 
 
 def test_peel_threshold_values():
@@ -152,10 +160,10 @@ def test_certified_forest_union_round_count_and_forward_degree():
 
 
 def test_orient_prefers_lower_layer_then_lower_id():
-    lp = make_partition([1, 2, 1, 1, 1, 1, 1, 1])
-    assert lp.key(0) < lp.key(1)
-    assert lp.key(1) == (2, 1)
-    assert lp.key(3) < lp.key(7)  # same layer: id breaks the tie
+    key = orientation_key(make_partition([1, 2, 1, 1, 1, 1, 1, 1]))
+    assert key[0] < key[1]
+    assert key[1] == 2 * 8 + 1
+    assert key[3] < key[7]  # same layer: id breaks the tie
 
 
 def test_forward_degree_examples():
@@ -171,10 +179,11 @@ def test_forward_degree_examples():
 def test_orientation_is_acyclic_and_matches_forward_count():
     edges, _ = generate(GenSpec(family="petersen", n=10))
     lp = peel(EdgeStream.from_edges(10, edges), alpha=2, gamma=0.5)
+    key = orientation_key(lp)
     out_deg = [0] * 10
     for u, w in edges.tolist():
-        assert lp.key(u) != lp.key(w)  # strictly ordered, so no directed cycle fits
-        out_deg[min(u, w, key=lp.key)] += 1
+        assert key[u] != key[w]  # strictly ordered, so no directed cycle fits
+        out_deg[min(u, w, key=key.__getitem__)] += 1
     measured = measure_forward_degree(EdgeStream.from_edges(10, edges), lp)
     # forward count includes same-layer neighbors on both sides, so it
     # dominates the true out-degree
@@ -199,7 +208,8 @@ def test_orient_ignores_endpoint_listing_order(layers, data):
     n = len(layers)
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1).filter(lambda x: x != u))
-    assert (lp.key(u) < lp.key(v)) != (lp.key(v) < lp.key(u))
+    key = orientation_key(lp)
+    assert (key[u] < key[v]) != (key[v] < key[u])
 
 
 @settings(max_examples=60, deadline=None)
