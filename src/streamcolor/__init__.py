@@ -23,7 +23,6 @@ from .core import (
 from .corpus import FAMILIES, ORDERS, GenSpec, generate, shuffle_order
 from .delta_color import (
     DEFAULT_C,
-    ClassPalettes,
     ColoringAborted,
     DeltaRunMetrics,
     OnlineColorState,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArbRunConfig",
     "ArbRunMetrics",
-    "ClassPalettes",
     "Coloring",
     "ColoringAborted",
     "DEFAULT_C",

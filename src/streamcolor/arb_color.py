@@ -19,36 +19,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EdgeStream, distinct_sorted, pair_codes
-from .delta_color import DEFAULT_C, validate_run_params
+from .delta_color import DEFAULT_C, PhasePartition, validate_run_params
 from .oracle import Coloring
 from .peel import LayerPartition, PeelStalled, PeelState
-from .seeding import PHASE1, rng_for
 
 
 @dataclass(frozen=True)
 class ArbRunConfig:
     """All derived parameters of one run, frozen before the stream is read."""
 
-    n: int
-    alpha: int
-    epsilon: float
-    c: float
-    seed: int
     eps_prime: float
     gamma: float
     ell: int
 
 
-def derive_config(n: int, alpha: int, epsilon: float, c: float, seed: int) -> ArbRunConfig:
+def derive_config(n: int, alpha: int, epsilon: float, c: float) -> ArbRunConfig:
     validate_run_params(n, "alpha", alpha, epsilon, c)
     eps_prime = epsilon / 6.0
     gamma = epsilon / 3.0
     raw = (eps_prime / c) * ((2.0 + gamma) * alpha) / math.log2(n)
-    ell = max(1, math.ceil(raw))
-    return ArbRunConfig(
-        n=n, alpha=alpha, epsilon=epsilon, c=c, seed=seed,
-        eps_prime=eps_prime, gamma=gamma, ell=ell,
-    )
+    return ArbRunConfig(eps_prime=eps_prime, gamma=gamma, ell=max(1, math.ceil(raw)))
 
 
 def per_class_out_bound(n: int, eps_prime: float, c: float) -> float:
@@ -137,10 +127,9 @@ def run_arboricity_coloring(
     attached. Per-class palettes are disjoint and sized on demand, class i
     starting right after class i-1's block.
     """
-    cfg = derive_config(stream.n, alpha, epsilon, c, seed)
-    n = cfg.n
-    rng = rng_for(seed, PHASE1)
-    class_of = rng.integers(1, cfg.ell + 1, size=n, dtype=np.int64)
+    n = stream.n
+    cfg = derive_config(n, alpha, epsilon, c)
+    part = PhasePartition.draw(n, cfg.ell, seed)
     ps = PeelState(n, alpha, cfg.gamma)
     before = stream.pass_count
     m = stream.m
@@ -148,9 +137,8 @@ def run_arboricity_coloring(
     try:
         # pass 1 collects the same-class edges and counts peel round 1
         for u, v in stream.pass_chunks():
-            same = class_of[u] == class_of[v]
-            su, sv = u[same], v[same]
-            codes.append(pair_codes(su, sv, n))
+            same = part.same(u, v)
+            codes.append(pair_codes(u[same], v[same], n))
             ps.consume(u, v)
         # one min*n+max code per stored edge, so repeats and swapped
         # endpoints are stored once
@@ -168,8 +156,8 @@ def run_arboricity_coloring(
         raise
     lp = ps.partition()
     su, sv = np.divmod(stored, n)
-    out_degrees = out_degree_profile(su, sv, lp, class_of, cfg.ell).tolist()
-    coloring = offline_dag_color(su, sv, lp, class_of, out_degrees)
+    out_degrees = out_degree_profile(su, sv, lp, part).tolist()
+    coloring = offline_dag_color(su, sv, lp, part.class_of, out_degrees)
     metrics = ArbRunMetrics(
         n=n, m=m, ell=cfg.ell, k=lp.k, passes=stream.pass_count - before,
         colors_used=coloring.colors_used, per_class_out_degree=out_degrees,
@@ -179,11 +167,7 @@ def run_arboricity_coloring(
 
 
 def out_degree_profile(
-    edges_u: np.ndarray,
-    edges_v: np.ndarray,
-    lp: LayerPartition,
-    class_of: np.ndarray,
-    ell: int,
+    edges_u: np.ndarray, edges_v: np.ndarray, lp: LayerPartition, partition: PhasePartition
 ) -> np.ndarray:
     """Per-class max out-degree: the most same-class edges leaving one vertex.
 
@@ -193,10 +177,5 @@ def out_degree_profile(
     deduplicated stored edges to get ArbRunMetrics.per_class_out_degree.
     """
     tail, head, _ = _orient_arrays(edges_u, edges_v, lp)
-    same = class_of[tail] == class_of[head]
-    n = len(class_of)
-    outdeg = np.bincount(tail[same], minlength=n)
-    profile = np.zeros(ell, dtype=np.int64)
-    if same.any():
-        np.maximum.at(profile, class_of - 1, outdeg)
-    return profile
+    outdeg = np.bincount(tail[partition.same(tail, head)], minlength=partition.n)
+    return partition.class_max(outdeg)

@@ -60,41 +60,39 @@ def palette_size(n: int, epsilon: float, c: float) -> int:
 
 @dataclass(frozen=True)
 class PhasePartition:
-    """Random class assignment drawn before the stream is read."""
+    """Random class split drawn before the stream is read; both runs store its same-class edges."""
 
     ell: int
     class_of: np.ndarray = field(repr=False)  # per-vertex class id in [1, ell]
     seed: int
 
+    @classmethod
+    def draw(cls, n: int, ell: int, seed: int) -> PhasePartition:
+        """Each vertex's class, iid uniform over [1, ell], from the seed's PHASE1 stream."""
+        class_of = rng_for(seed, PHASE1).integers(1, ell + 1, size=n, dtype=np.int64)
+        return cls(ell=ell, class_of=class_of, seed=seed)
+
     @property
     def n(self) -> int:
         return len(self.class_of)
 
+    def same(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Mask of the edges whose endpoints share a class."""
+        return self.class_of[u] == self.class_of[v]
 
-@dataclass(frozen=True)
-class ClassPalettes:
-    """Disjoint per-class palettes realized arithmetically.
-
-    Class i (1-based) owns global color ids (i-1)*r + 1 .. i*r; slot s of
-    class i is global id (i-1)*r + s.
-    """
-
-    ell: int
-    r: int
-
-    def global_id(self, class_id: int, slot: int) -> int:
-        return (class_id - 1) * self.r + slot
+    def class_max(self, values: np.ndarray) -> np.ndarray:
+        """Per class, the largest of its vertices' non-negative values (0 if none)."""
+        out = np.zeros(self.ell, dtype=np.int64)
+        np.maximum.at(out, self.class_of - 1, values)
+        return out
 
 
 def build_phase1(
     n: int, delta: int, epsilon: float, c: float, seed: int
-) -> tuple[PhasePartition, ClassPalettes]:
-    """Draw the class assignment (iid uniform over [1, ell]) for a given seed."""
+) -> tuple[PhasePartition, int]:
+    """The class split and r, the slots per class; class i owns colors (i-1)*r + 1 .. i*r."""
     ell = class_count(n, delta, epsilon, c)
-    r = palette_size(n, epsilon, c)
-    rng = rng_for(seed, PHASE1)
-    class_of = rng.integers(1, ell + 1, size=n, dtype=np.int64)
-    return PhasePartition(ell=ell, class_of=class_of, seed=seed), ClassPalettes(ell=ell, r=r)
+    return PhasePartition.draw(n, ell, seed), palette_size(n, epsilon, c)
 
 
 class ColoringAborted(RuntimeError):
@@ -145,24 +143,23 @@ class OnlineColorState:
     order, are nbr[start[x]:fill[x]].
     """
 
-    def __init__(self, partition: PhasePartition, palettes: ClassPalettes):
+    def __init__(self, partition: PhasePartition, r: int):
         n = partition.n
         self.partition = partition
-        self.palettes = palettes
+        self.r = r
         self.slot: list[int] = [1] * n  # every vertex starts on slot 1
         self.start: list[int] = [0] * n  # laid out by replay()
         self.fill: list[int] = [0] * n
         self.max_edge_cost = 0
         self._us = [np.empty(0, dtype=np.int64)]  # so an edgeless pass concatenates
         self._vs = [np.empty(0, dtype=np.int64)]
-        self._occ = [0] * (palettes.r + 1)  # slot occupancy scratch, stamp-cleared
+        self._occ = [0] * (r + 1)  # slot occupancy scratch, stamp-cleared
         self._stamp = 0
 
     def collect(self, u: np.ndarray, v: np.ndarray) -> None:
         """Keep one chunk's same-class edges. Cross-class edges are dropped:
         palettes are disjoint, so they never conflict."""
-        cls = self.partition.class_of
-        same = cls[u] == cls[v]
+        same = self.partition.same(u, v)
         self._us.append(u[same])
         self._vs.append(v[same])
 
@@ -201,7 +198,7 @@ class OnlineColorState:
         stamp = self._stamp
         for w in neighbors:
             occ[slot[w]] = stamp
-        r = self.palettes.r
+        r = self.r
         cost = len(neighbors)
         chosen = 0
         for s in range(1, r + 1):
@@ -218,17 +215,15 @@ class OnlineColorState:
         slot[u] = chosen
 
     def coloring(self) -> Coloring:
-        pal = self.palettes
-        assignment = pal.global_id(self.partition.class_of, np.asarray(self.slot)).tolist()
-        return Coloring(assignment=assignment, palette_size=pal.ell * pal.r)
+        part, r = self.partition, self.r
+        assignment = ((part.class_of - 1) * r + np.asarray(self.slot)).tolist()
+        return Coloring(assignment=assignment, palette_size=part.ell * r)
 
     def _degree(self) -> np.ndarray:
         return np.asarray(self.fill) - np.asarray(self.start)
 
     def per_class_degree(self) -> list[int]:
-        out = np.zeros(self.partition.ell, dtype=np.int64)
-        np.maximum.at(out, self.partition.class_of - 1, self._degree())
-        return out.tolist()
+        return self.partition.class_max(self._degree()).tolist()
 
     def peak_stored_edges(self) -> int:
         return int(self._degree().sum()) // 2  # stored edges are never dropped
@@ -240,7 +235,7 @@ class OnlineColorState:
             n=self.partition.n,
             m=m,
             ell=self.partition.ell,
-            r=self.palettes.r,
+            r=self.r,
             passes=passes,
             colors_used=colors,
             peak_stored_edges=self.peak_stored_edges(),
@@ -266,8 +261,7 @@ def run_delta_coloring(
     metrics attached, when a class palette is exhausted; the pass is read to
     its end before the replay finds that out.
     """
-    partition, palettes = build_phase1(stream.n, delta, epsilon, c, seed)
-    state = OnlineColorState(partition, palettes)
+    state = OnlineColorState(*build_phase1(stream.n, delta, epsilon, c, seed))
     before = stream.pass_count
     for u, v in stream.pass_chunks():
         state.collect(u, v)
@@ -282,7 +276,7 @@ def run_delta_coloring(
 
 
 def mono_degree_profile(
-    edges_u: np.ndarray, edges_v: np.ndarray, class_of: np.ndarray, ell: int
+    edges_u: np.ndarray, edges_v: np.ndarray, partition: PhasePartition
 ) -> np.ndarray:
     """Per-class max monochromatic degree, computed directly from a partition.
 
@@ -291,12 +285,7 @@ def mono_degree_profile(
     recoloring, so sweeps can evaluate it without full runs. Cross-checked
     against DeltaRunMetrics.per_class_degree in the test suite.
     """
-    same = class_of[edges_u] == class_of[edges_v]
-    u = edges_u[same]
-    v = edges_v[same]
-    n = len(class_of)
-    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-    out = np.zeros(ell, dtype=np.int64)
-    if len(u):
-        np.maximum.at(out, class_of - 1, deg)
-    return out
+    same = partition.same(edges_u, edges_v)
+    n = partition.n
+    deg = np.bincount(edges_u[same], minlength=n) + np.bincount(edges_v[same], minlength=n)
+    return partition.class_max(deg)

@@ -69,8 +69,6 @@ class LayerPartition:
 
     k: int
     layer: list[int] = field(repr=False)
-    alpha: int | float
-    gamma: float
     threshold: int
     witnessed_degree: list[int] = field(repr=False)
     passes: int
@@ -132,8 +130,6 @@ class PeelState:
         return LayerPartition(
             k=self.rounds,
             layer=self.layer.tolist(),
-            alpha=self.alpha,
-            gamma=self.gamma,
             threshold=self.threshold,
             witnessed_degree=self.witnessed.tolist(),
             passes=self.rounds,

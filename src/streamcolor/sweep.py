@@ -64,6 +64,14 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _optional(run: dict, key: str, kind: type, default=None):
+    """run[key], or default when it is absent or null; any other type is rejected."""
+    value = run.get(key)
+    if value is not None and type(value) is not kind:  # neither True nor 2.5 is an int
+        raise ValueError(f"a sweep run's {key!r} must be {kind.__name__}, got {value!r}")
+    return default if value is None else value
+
+
 def expand_spec(doc: dict) -> list[SweepCell]:
     """Cross the grid: epsilon, c and seed entries may be scalars or lists."""
     if not isinstance(doc, dict):
@@ -80,6 +88,9 @@ def expand_spec(doc: dict) -> list[SweepCell]:
         algorithm = run["algorithm"]
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+        m = _optional(run, "m", int)
+        alpha = _optional(run, "alpha", int)
+        order = _optional(run, "order", str, "as-generated")
         seeds = run.get("seeds", [0])
         if isinstance(seeds, dict):
             start = _require(seeds, "start", "a 'seeds' range")
@@ -93,9 +104,9 @@ def expand_spec(doc: dict) -> list[SweepCell]:
                     cells.append(SweepCell(
                         family=family,
                         n=n,
-                        m=run.get("m"),
-                        alpha=run.get("alpha"),
-                        order=run.get("order", "as-generated"),
+                        m=m,
+                        alpha=alpha,
+                        order=order,
                         gen_seed=int(run.get("gen_seed", 0)),
                         algorithm=algorithm,
                         epsilon=float(epsilon),

@@ -19,6 +19,7 @@ from streamcolor import (
     EdgeStream,
     GenSpec,
     LayerPartition,
+    PhasePartition,
     build_phase1,
     class_count,
     degeneracy,
@@ -39,7 +40,6 @@ from streamcolor import (
 from streamcolor.arb_color import out_degree_profile, per_class_out_bound
 from streamcolor.cli import main as cli_main
 from streamcolor.delta_color import mono_degree_profile
-from streamcolor.seeding import PHASE1, rng_for
 
 EPSILON = 0.5
 C = 1.0
@@ -136,7 +136,7 @@ def test_criterion_3_pass_and_space_accounting(corpus_suite):
             assert am.passes == am.k
             assert rec["arb_stream_passes"] == am.k
             if rec["certified"]:
-                gamma = derive_config(rec["n"], rec["alpha"], EPSILON, C, 0).gamma
+                gamma = derive_config(rec["n"], rec["alpha"], EPSILON, C).gamma
                 assert am.k <= max_rounds_bound(rec["n"], gamma)
 
 
@@ -175,14 +175,14 @@ def test_criterion_5_class_degree_concentration():
         worst = 0
         for seed in range(200):
             part, _ = build_phase1(4096, input_delta, EPSILON, C, seed)
-            profile = mono_degree_profile(edges[:, 0], edges[:, 1], part.class_of, part.ell)
+            profile = mono_degree_profile(edges[:, 0], edges[:, 1], part)
             top = int(profile.max())
             worst = max(worst, top)
             exceed += top > cap
         assert exceed <= 10, f"{exceed}/200 seeds over the class-degree cap (worst {worst})"
         for seed in (0, 123):  # profile agrees with what a real run records
             part, _ = build_phase1(4096, input_delta, EPSILON, C, seed)
-            profile = mono_degree_profile(edges[:, 0], edges[:, 1], part.class_of, part.ell)
+            profile = mono_degree_profile(edges[:, 0], edges[:, 1], part)
             _, metrics = run_delta_coloring(
                 EdgeStream.from_edges(4096, edges), input_delta, EPSILON, C, seed
             )
@@ -192,22 +192,22 @@ def test_criterion_5_class_degree_concentration():
         # certified instance (threshold 259 clears the >= 256 regime floor)
         alpha = 120
         edges, _ = generate(GenSpec(family="forest-union", n=4096, alpha=alpha, seed=303))
-        cfg = derive_config(4096, alpha, EPSILON, C, 0)
+        cfg = derive_config(4096, alpha, EPSILON, C)
         assert peel_threshold(alpha, cfg.gamma) >= 256
         lp = peel(EdgeStream.from_edges(4096, edges), alpha, cfg.gamma)
         out_cap = per_class_out_bound(4096, cfg.eps_prime, C)
         exceed = 0
         worst = 0
         for seed in range(200):
-            class_of = rng_for(seed, PHASE1).integers(1, cfg.ell + 1, size=4096, dtype=np.int64)
-            profile = out_degree_profile(edges[:, 0], edges[:, 1], lp, class_of, cfg.ell)
+            part = PhasePartition.draw(4096, cfg.ell, seed)
+            profile = out_degree_profile(edges[:, 0], edges[:, 1], lp, part)
             top = int(profile.max())
             worst = max(worst, top)
             exceed += top > out_cap
         assert exceed <= 10, f"{exceed}/200 seeds over the out-degree cap (worst {worst})"
         for seed in (0, 123):
-            class_of = rng_for(seed, PHASE1).integers(1, cfg.ell + 1, size=4096, dtype=np.int64)
-            profile = out_degree_profile(edges[:, 0], edges[:, 1], lp, class_of, cfg.ell)
+            part = PhasePartition.draw(4096, cfg.ell, seed)
+            profile = out_degree_profile(edges[:, 0], edges[:, 1], lp, part)
             _, metrics = run_arboricity_coloring(
                 EdgeStream.from_edges(4096, edges), alpha, EPSILON, C, seed
             )
@@ -248,8 +248,7 @@ def test_criterion_7_offline_dag_coloring_random_partitions():
             k = int(rng.integers(1, 5))
             layer = [int(x) for x in rng.integers(1, k + 1, size=n)]
             lp = LayerPartition(
-                k=k, layer=layer, alpha=1, gamma=0.5, threshold=0,
-                witnessed_degree=[0] * n, passes=k,
+                k=k, layer=layer, threshold=0, witnessed_degree=[0] * n, passes=k,
             )
             keys = [(layer[v], v) for v in range(n)]
             out = [0] * n

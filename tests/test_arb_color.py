@@ -14,6 +14,7 @@ from streamcolor import (
     GenSpec,
     LayerPartition,
     PeelStalled,
+    PhasePartition,
     derive_config,
     generate,
     measure_max_degree,
@@ -25,38 +26,36 @@ from streamcolor import (
     verify_proper,
 )
 from streamcolor.arb_color import out_degree_profile, per_class_out_bound
-from streamcolor.seeding import PHASE1, rng_for
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def flat_partition(n: int) -> LayerPartition:
     return LayerPartition(
-        k=1, layer=[1] * n, alpha=1, gamma=0.5,
-        threshold=2, witnessed_degree=[0] * n, passes=1,
+        k=1, layer=[1] * n, threshold=2, witnessed_degree=[0] * n, passes=1,
     )
 
 
 def test_derive_config_values():
-    cfg = derive_config(4096, 120, 0.5, 1.0, seed=0)
+    cfg = derive_config(4096, 120, 0.5, 1.0)
     assert cfg.eps_prime == pytest.approx(1 / 12)
     assert cfg.gamma == pytest.approx(1 / 6)
     assert cfg.ell == 2
-    assert derive_config(4, 2, 0.5, 1.0, seed=0).ell == 1
-    assert derive_config(512, 16, 3.0, 0.5, seed=0).ell == 6
-    assert derive_config(4096, 192, 1.5, 1.0, seed=0).ell == 10
-    assert derive_config(4096, 512, 1.5, 1.0, seed=0).ell == 27
+    assert derive_config(4, 2, 0.5, 1.0).ell == 1
+    assert derive_config(512, 16, 3.0, 0.5).ell == 6
+    assert derive_config(4096, 192, 1.5, 1.0).ell == 10
+    assert derive_config(4096, 512, 1.5, 1.0).ell == 27
 
 
 def test_derive_config_validation():
     with pytest.raises(ValueError, match="n >= 2"):
-        derive_config(1, 2, 0.5, 1.0, 0)
+        derive_config(1, 2, 0.5, 1.0)
     with pytest.raises(ValueError, match="alpha"):
-        derive_config(8, -1, 0.5, 1.0, 0)
+        derive_config(8, -1, 0.5, 1.0)
     with pytest.raises(ValueError, match="epsilon"):
-        derive_config(8, 2, 0.0, 1.0, 0)
+        derive_config(8, 2, 0.0, 1.0)
     with pytest.raises(ValueError, match="c must be"):
-        derive_config(8, 2, 0.5, 0.0, 0)
+        derive_config(8, 2, 0.5, 0.0)
 
 
 def test_per_class_out_bound_values():
@@ -72,7 +71,7 @@ def test_per_class_out_bound_values():
 def test_color_budget_arithmetic_at_pinned_combos(n, alpha, epsilon):
     # worst case per class is the w.h.p. out-degree cap plus one; the pinned
     # combos keep ell * (cap + 1) under (2 + epsilon) * alpha
-    cfg = derive_config(n, alpha, epsilon, 1.0, seed=0)
+    cfg = derive_config(n, alpha, epsilon, 1.0)
     cap = per_class_out_bound(n, cfg.eps_prime, 1.0)
     assert cap == int(cap)
     assert cfg.ell * (int(cap) + 1) <= (2 + epsilon) * alpha
@@ -86,7 +85,7 @@ def chunk(*edges):
 def test_run_stores_each_same_class_pair_once():
     # seed 1 draws classes [1 1 1 1 2 1 2 2]; (3, 4) and (5, 7) cross classes,
     # and the repeats of (0, 1) and (2, 3), one of each swapped, store nothing
-    assert derive_config(8, 2, 3.0, 0.6, seed=1).ell == 2
+    assert derive_config(8, 2, 3.0, 0.6).ell == 2
     edges = [(0, 1), (1, 0), (0, 1), (2, 3), (4, 6), (3, 4), (5, 7), (6, 7), (3, 2)]
     coloring, metrics = run_arboricity_coloring(
         EdgeStream.from_edges(8, edges), alpha=2, epsilon=3.0, c=0.6, seed=1
@@ -99,13 +98,14 @@ def test_run_stores_each_same_class_pair_once():
 
 def test_out_degree_profile_examples():
     lp = flat_partition(3)
-    one = np.ones(3, dtype=np.int64)
-    assert out_degree_profile(*chunk((0, 1)), lp, one, 1).tolist() == [1]
+    one = PhasePartition(ell=1, class_of=np.ones(3, dtype=np.int64), seed=0)
+    assert out_degree_profile(*chunk((0, 1)), lp, one).tolist() == [1]
     triangle = chunk((0, 1), (0, 2), (1, 2))
     # triangle on one layer: vertex 0 points at both higher ids
-    assert out_degree_profile(*triangle, lp, one, 1).tolist() == [2]
+    assert out_degree_profile(*triangle, lp, one).tolist() == [2]
     # only same-class edges count: class 1 keeps (0, 2), class 2 is alone
-    assert out_degree_profile(*triangle, lp, np.array([1, 2, 1]), 2).tolist() == [1, 0]
+    split = PhasePartition(ell=2, class_of=np.array([1, 2, 1], dtype=np.int64), seed=0)
+    assert out_degree_profile(*triangle, lp, split).tolist() == [1, 0]
 
 
 def test_offline_dag_color_path():
@@ -129,8 +129,7 @@ def test_offline_dag_color_respects_orientation():
     # center sits below the leaves, so it points at all of them and must
     # dodge their shared first color
     lp = LayerPartition(
-        k=2, layer=[1, 2, 2, 2], alpha=1, gamma=0.5,
-        threshold=2, witnessed_degree=[0] * 4, passes=2,
+        k=2, layer=[1, 2, 2, 2], threshold=2, witnessed_degree=[0] * 4, passes=2,
     )
     coloring = offline_dag_color(*chunk((0, 1), (0, 2), (0, 3)), lp, np.ones(4), [3])
     assert coloring.assignment == [1, 0, 0, 0]
@@ -217,10 +216,10 @@ def test_pass_sharing_costs_exactly_k_passes():
 
 def test_out_degree_profile_matches_run_metrics():
     edges, _ = generate(GenSpec(family="forest-union", n=512, alpha=16, seed=17))
-    cfg = derive_config(512, 16, 3.0, 0.5, seed=4)
+    cfg = derive_config(512, 16, 3.0, 0.5)
     lp = peel(EdgeStream.from_edges(512, edges), alpha=16, gamma=cfg.gamma)
-    class_of = rng_for(4, PHASE1).integers(1, cfg.ell + 1, size=512, dtype=np.int64)
-    profile = out_degree_profile(edges[:, 0], edges[:, 1], lp, class_of, cfg.ell)
+    part = PhasePartition.draw(512, cfg.ell, 4)
+    profile = out_degree_profile(edges[:, 0], edges[:, 1], lp, part)
     _, metrics = run_arboricity_coloring(
         EdgeStream.from_edges(512, edges), alpha=16, epsilon=3.0, c=0.5, seed=4
     )
@@ -231,7 +230,8 @@ def test_out_degree_profile_matches_run_metrics():
 def test_out_degree_profile_empty_graph_is_zero():
     lp = flat_partition(3)
     empty = np.zeros(0, dtype=np.int64)
-    profile = out_degree_profile(empty, empty, lp, np.ones(3, dtype=np.int64), 1)
+    one = PhasePartition(ell=1, class_of=np.ones(3, dtype=np.int64), seed=0)
+    profile = out_degree_profile(empty, empty, lp, one)
     assert profile.tolist() == [0]
 
 
@@ -240,7 +240,7 @@ def test_palette_blocks_are_disjoint_per_class():
     coloring, metrics = run_arboricity_coloring(
         EdgeStream.from_edges(512, edges), alpha=16, epsilon=3.0, c=0.5, seed=4
     )
-    class_of = rng_for(4, PHASE1).integers(1, metrics.ell + 1, size=512, dtype=np.int64)
+    class_of = PhasePartition.draw(512, metrics.ell, 4).class_of
     widths = [d + 1 for d in metrics.per_class_out_degree]
     bases = [0]
     for w in widths[:-1]:
@@ -268,7 +268,7 @@ def test_properness_and_budget_on_small_corpus():
         for seed in range(3):
             stream = EdgeStream.from_edges(spec.n, edges)
             coloring, metrics = run_arboricity_coloring(stream, alpha, 0.5, 1.0, seed)
-            cfg = derive_config(spec.n, alpha, 0.5, 1.0, seed)
+            cfg = derive_config(spec.n, alpha, 0.5, 1.0)
             assert metrics.passes == metrics.k
             assert verify_proper(EdgeStream.from_edges(spec.n, edges), coloring) == []
             thr = peel_threshold(alpha, cfg.gamma)
@@ -283,13 +283,13 @@ def test_large_forest_union_three_runs_and_ten_profiles():
     only on the partition, and peeling cannot stall when alpha is honest)."""
     n = 2**14
     edges, _ = generate(GenSpec(family="forest-union", n=n, alpha=64, seed=23))
-    cfg = derive_config(n, 64, 0.5, 1.0, seed=0)
+    cfg = derive_config(n, 64, 0.5, 1.0)
     lp = peel(EdgeStream.from_edges(n, edges), alpha=64, gamma=cfg.gamma)
     cap = per_class_out_bound(n, cfg.eps_prime, 1.0)
     assert lp.threshold <= cap  # budget holds for any partition on this combo
     for seed in range(10):
-        class_of = rng_for(seed, PHASE1).integers(1, cfg.ell + 1, size=n, dtype=np.int64)
-        profile = out_degree_profile(edges[:, 0], edges[:, 1], lp, class_of, cfg.ell)
+        part = PhasePartition.draw(n, cfg.ell, seed)
+        profile = out_degree_profile(edges[:, 0], edges[:, 1], lp, part)
         assert int(profile.max()) <= cap
     for seed in (0, 4, 9):
         stream = EdgeStream.from_edges(n, edges)
@@ -322,7 +322,7 @@ def test_random_small_graphs_proper_within_budget(ne, seed):
     alpha = nash_williams_arboricity(EdgeStream.from_edges(n, edges))
     stream = EdgeStream.from_edges(n, edges)
     coloring, metrics = run_arboricity_coloring(stream, alpha, 0.5, 1.0, seed)
-    cfg = derive_config(n, alpha, 0.5, 1.0, seed)
+    cfg = derive_config(n, alpha, 0.5, 1.0)
     assert metrics.passes == metrics.k
     assert coloring.colors_used <= cfg.ell * (peel_threshold(alpha, cfg.gamma) + 1)
     assert verify_proper(EdgeStream.from_edges(n, edges), coloring) == []

@@ -18,6 +18,7 @@ from streamcolor import (
     EdgeStream,
     GenSpec,
     PeelStalled,
+    PhasePartition,
     build_phase1,
     derive_config,
     generate,
@@ -29,7 +30,6 @@ from streamcolor import (
     run_delta_coloring,
     verify_proper,
 )
-from streamcolor.seeding import PHASE1, rng_for
 
 CHUNK_SIZES = (1, 7, None)  # None: the default chunk size
 
@@ -98,11 +98,6 @@ def per_edge_peel(n: int, edges, threshold: int) -> tuple[list[int], list[int]]:
             layer[v], witnessed[v] = k, deg[v]
             active.discard(v)
     return layer, witnessed
-
-
-def class_draw(seed: int, ell: int, n: int) -> list[int]:
-    """Each vertex's class, drawn as run_arboricity_coloring draws it."""
-    return rng_for(seed, PHASE1).integers(1, ell + 1, size=n, dtype=np.int64).tolist()
 
 
 def same_class_graphs(edges, class_of, ell: int) -> list[defaultdict[int, set[int]]]:
@@ -178,8 +173,8 @@ def test_delta_coloring_same_at_every_chunk_size(at_chunk_sizes):
     assert all_equal(results)
     assignment, metrics, passes = results[0]
     assert metrics["ell"] > 1 and metrics["max_edge_cost"] > 1 and passes == 1
-    part, pal = build_phase1(GNM.n, delta, 0.5, 0.2, seed=1)
-    reference = per_edge_delta_coloring(GNM.n, edges.tolist(), part.class_of.tolist(), pal.r)
+    part, r = build_phase1(GNM.n, delta, 0.5, 0.2, seed=1)
+    reference = per_edge_delta_coloring(GNM.n, edges.tolist(), part.class_of.tolist(), r)
     assert assignment == reference
 
 
@@ -240,10 +235,10 @@ def test_arboricity_coloring_same_at_every_chunk_size(at_chunk_sizes):
     assignment, metrics, passes = results[0]
     assert metrics["ell"] > 1 and metrics["k"] >= 2 and passes == metrics["k"]
     assert verify_proper(EdgeStream.from_edges(FOREST.n, edges), Coloring(assignment, 0)) == []
-    class_of = class_draw(0, metrics["ell"], FOREST.n)
+    class_of = PhasePartition.draw(FOREST.n, metrics["ell"], 0).class_of.tolist()
     graphs = same_class_graphs(edges.tolist(), class_of, metrics["ell"])
     assert metrics["peak_stored_edges"] == stored_edges(graphs)
-    gamma = derive_config(FOREST.n, 4, 0.5, 0.02, seed=0).gamma
+    gamma = derive_config(FOREST.n, 4, 0.5, 0.02).gamma
     lp = peel(EdgeStream.from_edges(FOREST.n, edges), 4, gamma)
     assert (metrics["per_class_out_degree"], assignment) == per_class_dag_coloring(
         graphs, class_of, lp.layer
@@ -263,7 +258,7 @@ def test_arboricity_stall_same_at_every_chunk_size(at_chunk_sizes):
     assert all_equal(results)
     metrics, passes = results[0]
     assert metrics["ell"] > 1 and passes == metrics["k"] == 2  # stalls after a round of progress
-    class_of = class_draw(0, metrics["ell"], FOREST.n)
+    class_of = PhasePartition.draw(FOREST.n, metrics["ell"], 0).class_of.tolist()
     graphs = same_class_graphs(edges.tolist(), class_of, metrics["ell"])
     assert metrics["peak_stored_edges"] == stored_edges(graphs)
 

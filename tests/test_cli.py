@@ -406,6 +406,15 @@ def test_sweep_command(tmp_path, capsys):
         ({"runs": {"family": "gnm"}}, "list of objects"),
         ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
                     "seeds": {"start": "a", "count": 2}}]}, "integer 'start' and 'count'"),
+        ({"runs": [{"family": "gnm", "n": 8, "m": "x", "algorithm": "delta"}]}, "'m'"),
+        ({"runs": [{"family": "gnm", "n": 8, "m": 2.5, "algorithm": "delta"}]}, "'m'"),
+        ({"runs": [{"family": "gnm", "n": 8, "m": True, "algorithm": "delta"}]}, "'m'"),
+        ({"runs": [{"family": "forest-union", "n": 8, "alpha": "x", "algorithm": "arb"}]},
+         "'alpha'"),
+        ({"runs": [{"family": "forest-union", "n": 8, "alpha": 2.5, "algorithm": "arb"}]},
+         "'alpha'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "order": ["random"]}]}, "'order'"),
     ],
 )
 def test_sweep_malformed_spec_is_an_input_error(tmp_path, capsys, spec, key):

@@ -14,7 +14,6 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from streamcolor import (
-    ClassPalettes,
     ColoringAborted,
     DeltaRunMetrics,
     EdgeStream,
@@ -28,6 +27,7 @@ from streamcolor import (
     run_delta_coloring,
     verify_proper,
 )
+from streamcolor import seeding
 from streamcolor.delta_color import DEFAULT_C, mono_degree_profile
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -71,32 +71,38 @@ def test_parameter_validation():
         palette_size(4, 0.5, -1.0)
 
 
-def test_class_palettes_are_disjoint():
-    pal = ClassPalettes(ell=4, r=11)
-    ids = {pal.global_id(i, slot) for i in range(1, 5) for slot in range(1, 12)}
-    assert ids == set(range(1, 4 * 11 + 1))  # 44 pairs, 44 distinct ids
-
-
 def test_build_phase1_deterministic_and_in_range():
-    p1, pal1 = build_phase1(256, 400, 0.5, 1.0, seed=5)
+    p1, r = build_phase1(256, 400, 0.5, 1.0, seed=5)
     p2, _ = build_phase1(256, 400, 0.5, 1.0, seed=5)
     p3, _ = build_phase1(256, 400, 0.5, 1.0, seed=6)
     assert p1.ell == class_count(256, 400, 0.5, 1.0)
-    assert pal1.r == palette_size(256, 0.5, 1.0)
+    assert r == palette_size(256, 0.5, 1.0)
     assert p1.class_of.tobytes() == p2.class_of.tobytes()
     assert p1.class_of.tobytes() != p3.class_of.tobytes()
     assert p1.class_of.min() >= 1 and p1.class_of.max() <= p1.ell
     assert p1.n == 256
 
 
+@pytest.mark.parametrize(
+    "n, ell, seed", [(0, 3, 0), (1, 1, 7), (256, 1, 5), (256, 4, 5), (1000, 13, 2**32 - 1)]
+)
+def test_phase_partition_draw_pins_the_phase1_stream(n, ell, seed):
+    # both runs split V through draw(), so this pins both runs' classes
+    part = PhasePartition.draw(n, ell, seed)
+    expected = seeding.rng_for(seed, seeding.PHASE1).integers(1, ell + 1, size=n, dtype=np.int64)
+    assert part.class_of.dtype == np.int64
+    assert part.class_of.tobytes() == expected.tobytes()
+    assert (part.n, part.ell, part.seed) == (n, ell, seed)
+
+
 def single_class_state(n: int, r: int) -> OnlineColorState:
     part = PhasePartition(ell=1, class_of=np.ones(n, dtype=np.int64), seed=0)
-    return OnlineColorState(part, ClassPalettes(ell=1, r=r))
+    return OnlineColorState(part, r)
 
 
 def test_process_edge_discards_cross_class():
     part = PhasePartition(ell=2, class_of=np.asarray([1, 2], dtype=np.int64), seed=0)
-    state = OnlineColorState(part, ClassPalettes(ell=2, r=5))
+    state = OnlineColorState(part, 5)
     state.collect(np.asarray([0]), np.asarray([1]))
     state.replay()
     assert state.peak_stored_edges() == 0
@@ -170,9 +176,9 @@ def test_multi_class_run_discards_and_stays_in_palette():
     assert 0 < metrics.peak_stored_edges < metrics.m
     assert verify_proper(EdgeStream.from_edges(256, edges), coloring) == []
     # palette discipline: each vertex colors inside its own class block
-    part, palettes = build_phase1(256, meta.max_degree, 0.5, 0.5, seed=3)
+    part, r = build_phase1(256, meta.max_degree, 0.5, 0.5, seed=3)
     for v, color in enumerate(coloring.assignment):
-        assert (color - 1) // palettes.r + 1 == int(part.class_of[v])
+        assert (color - 1) // r + 1 == int(part.class_of[v])
     assert coloring.colors_used <= metrics.ell * metrics.r
     assert metrics.max_edge_cost <= metrics.max_class_degree + metrics.r
 
@@ -180,7 +186,7 @@ def test_multi_class_run_discards_and_stays_in_palette():
 def test_mono_degree_profile_matches_run_metrics():
     edges, meta = generate(GenSpec(family="gnm", n=256, m=4096, seed=9))
     part, _ = build_phase1(256, meta.max_degree, 0.5, 0.5, seed=3)
-    profile = mono_degree_profile(edges[:, 0], edges[:, 1], part.class_of, part.ell)
+    profile = mono_degree_profile(edges[:, 0], edges[:, 1], part)
     _, metrics = run_delta_coloring(
         EdgeStream.from_edges(256, edges), meta.max_degree, 0.5, 0.5, seed=3
     )
@@ -189,9 +195,9 @@ def test_mono_degree_profile_matches_run_metrics():
 
 
 def test_mono_degree_profile_empty_class_is_zero():
-    class_of = np.asarray([1, 1, 2], dtype=np.int64)
+    part = PhasePartition(ell=2, class_of=np.asarray([1, 1, 2], dtype=np.int64), seed=0)
     edges = np.asarray([[0, 1]], dtype=np.int64)
-    profile = mono_degree_profile(edges[:, 0], edges[:, 1], class_of, 2)
+    profile = mono_degree_profile(edges[:, 0], edges[:, 1], part)
     assert profile.tolist() == [1, 0]
 
 
@@ -243,7 +249,7 @@ def test_large_gnm_twenty_seeds_no_abort_all_proper():
     r = palette_size(2**14, 0.5, 1.0)
     for seed in range(20):
         part, _ = build_phase1(2**14, meta.max_degree, 0.5, 1.0, seed)
-        profile = mono_degree_profile(edges[:, 0], edges[:, 1], part.class_of, part.ell)
+        profile = mono_degree_profile(edges[:, 0], edges[:, 1], part)
         stream = EdgeStream.from_edges(2**14, edges)
         coloring, metrics = run_delta_coloring(stream, meta.max_degree, 0.5, 1.0, seed)
         assert not metrics.aborted
@@ -295,9 +301,9 @@ class SetReference:
     first-listed endpoint when the endpoints share a slot.
     """
 
-    def __init__(self, partition: PhasePartition, palettes: ClassPalettes):
+    def __init__(self, partition: PhasePartition, r: int):
         self.partition = partition
-        self.palettes = palettes
+        self.r = r
         self.class_of = partition.class_of.tolist()
         self.slot = [1] * partition.n
         self.adj: defaultdict[int, set[int]] = defaultdict(set)
@@ -318,7 +324,7 @@ class SetReference:
 
     def _recolor(self, u: int, neighbors: set[int]) -> None:
         used = {self.slot[w] for w in neighbors}
-        r = self.palettes.r
+        r = self.r
         chosen = next((s for s in range(1, r + 1) if s not in used), 0)
         cost = len(neighbors) + (chosen or r)
         self.max_edge_cost = max(self.max_edge_cost, cost)
@@ -327,13 +333,13 @@ class SetReference:
         self.slot[u] = chosen
 
     def metrics(self, m: int, passes: int, aborted: bool) -> dict:
-        pal = self.palettes
-        per_class = [0] * pal.ell
+        ell, r = self.partition.ell, self.r
+        per_class = [0] * ell
         for x, neighbors in self.adj.items():
             per_class[self.class_of[x] - 1] = max(per_class[self.class_of[x] - 1], len(neighbors))
-        colors = len({pal.global_id(k, s) for k, s in zip(self.class_of, self.slot)})
+        colors = len({(k - 1) * r + s for k, s in zip(self.class_of, self.slot)})
         return asdict(DeltaRunMetrics(
-            n=self.partition.n, m=m, ell=pal.ell, r=pal.r, passes=passes,
+            n=self.partition.n, m=m, ell=ell, r=r, passes=passes,
             colors_used=0 if aborted else colors, peak_stored_edges=self.stored_edges,
             max_class_degree=max(per_class), per_class_degree=per_class, aborted=aborted,
             seed=self.partition.seed, max_edge_cost=self.max_edge_cost,
@@ -342,15 +348,15 @@ class SetReference:
 
 def set_reference_run(stream: EdgeStream, delta: int, epsilon: float, c: float, seed: int):
     """(assignment or None, abort forensics or None, metrics) of the reference."""
-    partition, palettes = build_phase1(stream.n, delta, epsilon, c, seed)
-    ref = SetReference(partition, palettes)
+    partition, r = build_phase1(stream.n, delta, epsilon, c, seed)
+    ref = SetReference(partition, r)
     try:
         for u, v in stream.pass_chunks():
             ref.consume(u, v)
     except ColoringAborted as exc:
         forensics = (exc.vertex, exc.class_id, exc.mono_degree)
         return None, forensics, ref.metrics(stream.m, stream.pass_count, aborted=True)
-    assignment = [palettes.global_id(k, s) for k, s in zip(ref.class_of, ref.slot)]
+    assignment = [(k - 1) * r + s for k, s in zip(ref.class_of, ref.slot)]
     return assignment, None, ref.metrics(stream.m, stream.pass_count, aborted=False)
 
 

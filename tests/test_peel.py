@@ -31,8 +31,8 @@ STAR6_EDGES = [(0, i) for i in range(1, 6)]
 def make_partition(layer: list[int]) -> LayerPartition:
     # hand-built partitions for orientation tests; peel fields are dummies
     return LayerPartition(
-        k=max(layer, default=0), layer=layer, alpha=1, gamma=0.5,
-        threshold=2, witnessed_degree=[0] * len(layer), passes=0,
+        k=max(layer, default=0), layer=layer, threshold=2,
+        witnessed_degree=[0] * len(layer), passes=0,
     )
 
 
