@@ -25,7 +25,6 @@ from .delta_color import (
     DEFAULT_C,
     ColoringAborted,
     DeltaRunMetrics,
-    OnlineColorState,
     PhasePartition,
     build_phase1,
     class_count,
@@ -68,7 +67,6 @@ __all__ = [
     "GenSpec",
     "LayerPartition",
     "ORDERS",
-    "OnlineColorState",
     "PeelStalled",
     "PeelState",
     "PhasePartition",

@@ -111,7 +111,7 @@ def cmd_color_delta(args) -> int:
         )
     except ColoringAborted as exc:
         print(f"abort: {exc}", file=sys.stderr)
-        if args.metrics and exc.metrics is not None:
+        if args.metrics:
             _write_json(args.metrics, asdict(exc.metrics))
         return 3
     write_coloring_file(args.output, coloring)
@@ -144,7 +144,7 @@ def cmd_color_arb(args) -> int:
         )
     except PeelStalled as exc:
         print(f"stall: {exc}", file=sys.stderr)
-        if args.metrics and exc.metrics is not None:
+        if args.metrics:
             _write_json(args.metrics, asdict(exc.metrics))
         return 3
     write_coloring_file(args.output, coloring)

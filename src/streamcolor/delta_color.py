@@ -4,11 +4,11 @@ The vertex set is split into ell random classes up front; each class owns a
 disjoint slot palette of size r. Cross-class edges are discarded on arrival.
 Same-class edges are stored, each pair once, and when the endpoints currently
 share a slot the first-listed endpoint moves to the smallest slot not held by
-any of its stored same-class neighbors. The pass only collects the same-class
-edges into arrays; the rule is then replayed over them in stream order, so
-every decision is the one made on arrival. If no slot is free the run
-aborts; there is no retry, the caller reruns with a fresh seed or a larger
-budget.
+any of its stored same-class neighbors. run_delta_coloring's one pass only
+collects the same-class edges into two int64 arrays; replay() then decides
+them in stream order, so every decision is the one made on arrival. If no
+slot is free the run aborts; there is no retry, the caller reruns with a
+fresh seed or a larger budget.
 
 ell = max(1, ceil(eps * Delta / (2 * c * log2 n)))
 r   = ceil((1 + 2/eps) * c * log2 n) + 1
@@ -98,12 +98,12 @@ def build_phase1(
 class ColoringAborted(RuntimeError):
     """A vertex needed a slot but its stored class neighbors held all r.
 
-    Carries the vertex, its class, and its monochromatic degree at abort
-    time, plus the seed so the run is reproducible. The `metrics` attribute
-    is attached by run_delta_coloring before re-raising.
+    Carries the vertex, its class, its monochromatic degree at the moment of
+    the abort and the seed, so the run is reproducible. run_delta_coloring
+    always attaches the run's metrics at that moment as `metrics`.
     """
 
-    def __init__(self, vertex: int, class_id: int, mono_degree: int, seed: int):
+    def __init__(self, vertex: int, class_id: int, mono_degree: int, seed: int, metrics=None):
         super().__init__(
             f"palette exhausted at vertex {vertex} (class {class_id}, "
             f"monochromatic degree {mono_degree}, seed {seed})"
@@ -112,7 +112,7 @@ class ColoringAborted(RuntimeError):
         self.class_id = class_id
         self.mono_degree = mono_degree
         self.seed = seed
-        self.metrics: "DeltaRunMetrics | None" = None
+        self.metrics: DeltaRunMetrics | None = metrics
 
 
 @dataclass
@@ -131,128 +131,61 @@ class DeltaRunMetrics:
     max_edge_cost: int  # worst slots-plus-neighbors examined on one edge
 
 
-class OnlineColorState:
-    """Mutable per-run state: slots, stored same-class edges, instrumentation.
+def replay(
+    u: np.ndarray, v: np.ndarray, n: int, r: int
+) -> tuple[list[int], np.ndarray, int, int | None]:
+    """Run the online rule over same-class edges u, v in stream order.
 
-    The pass hands each chunk to collect(), which keeps its same-class
-    occurrences in stream order as two int64 arrays, 16 B per occurrence: on
-    a simple graph, 16 B per stored edge. replay() then applies the online
-    rule to them one by one, so every decision equals the one made on
-    arrival. Classes partition the vertices, so one flat neighbor list holds
-    every class's stored graph: vertex x's stored neighbors, in arrival
-    order, are nbr[start[x]:fill[x]].
+    A pair's first occurrence stores it in both endpoints' neighbor lists;
+    every occurrence, repeat or not, moves its first-listed endpoint to the
+    smallest of the r slots no stored neighbor holds when the endpoints
+    share a slot. Classes partition the vertices, so one flat list holds
+    every class's stored graph: x's stored neighbors, in arrival order, are
+    nbr[start[x]:fill[x]], laid out from the distinct degrees.
+
+    Returns each vertex's slot and stored degree, the most neighbors plus
+    slots examined on one edge, and the vertex that found no free slot, or
+    None; after such a stop, slots and degrees are those at the stop.
     """
-
-    def __init__(self, partition: PhasePartition, r: int):
-        n = partition.n
-        self.partition = partition
-        self.r = r
-        self.slot: list[int] = [1] * n  # every vertex starts on slot 1
-        self.start: list[int] = [0] * n  # laid out by replay()
-        self.fill: list[int] = [0] * n
-        self.max_edge_cost = 0
-        self._us = [np.empty(0, dtype=np.int64)]  # so an edgeless pass concatenates
-        self._vs = [np.empty(0, dtype=np.int64)]
-        self._occ = [0] * (r + 1)  # slot occupancy scratch, stamp-cleared
-        self._stamp = 0
-
-    def collect(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Keep one chunk's same-class edges. Cross-class edges are dropped:
-        palettes are disjoint, so they never conflict."""
-        same = self.partition.same(u, v)
-        self._us.append(u[same])
-        self._vs.append(v[same])
-
-    def replay(self) -> None:
-        """Run the online rule over the collected edges in stream order.
-
-        A pair's first occurrence stores it in both endpoints' neighbor
-        lists, which are sized up front from the distinct degrees. Every
-        occurrence, repeat or not, moves its first-listed endpoint when the
-        endpoints share a slot.
-        """
-        u, v = np.concatenate(self._us), np.concatenate(self._vs)
-        self._us, self._vs = [], []  # u and v now hold the only copy
-        n = self.partition.n
-        first = np.zeros(len(u), dtype=bool)
-        first[first_occurrences(pair_codes(u, v, n))] = True
-        degree = np.bincount(u[first], minlength=n) + np.bincount(v[first], minlength=n)
-        self.start = start = (np.cumsum(degree) - degree).tolist()
-        self.fill = fill = list(start)
-        nbr = [0] * int(degree.sum())
-        slot = self.slot
-        for a, b, fresh in zip(u.tolist(), v.tolist(), first.tolist()):
-            if fresh:
-                nbr[fill[a]] = b
-                fill[a] += 1
-                nbr[fill[b]] = a
-                fill[b] += 1
-            if slot[a] == slot[b]:
-                self._recolor(a, nbr[start[a] : fill[a]])
-
-    def _recolor(self, u: int, neighbors: list[int]) -> None:
-        # smallest slot not held by any stored neighbor of u in its class
-        slot = self.slot
-        occ = self._occ
-        self._stamp += 1
-        stamp = self._stamp
-        for w in neighbors:
+    first = np.zeros(len(u), dtype=bool)
+    first[first_occurrences(pair_codes(u, v, n))] = True
+    degree = np.bincount(u[first], minlength=n) + np.bincount(v[first], minlength=n)
+    start = (np.cumsum(degree) - degree).tolist()
+    fill = list(start)
+    nbr = [0] * int(degree.sum())
+    slot = [1] * n  # every vertex starts on slot 1
+    occ = [0] * (r + 1)  # slot occupancy scratch, stamp-cleared
+    stamp = 0
+    max_edge_cost = 0
+    stuck = None
+    for a, b, fresh in zip(u.tolist(), v.tolist(), first.tolist()):
+        if fresh:
+            nbr[fill[a]] = b
+            fill[a] += 1
+            nbr[fill[b]] = a
+            fill[b] += 1
+        if slot[a] != slot[b]:
+            continue
+        stamp += 1
+        for w in nbr[start[a] : fill[a]]:
             occ[slot[w]] = stamp
-        r = self.r
-        cost = len(neighbors)
         chosen = 0
         for s in range(1, r + 1):
-            cost += 1
             if occ[s] != stamp:
                 chosen = s
                 break
-        if cost > self.max_edge_cost:
-            self.max_edge_cost = cost
+        cost = fill[a] - start[a] + (chosen or r)
+        if cost > max_edge_cost:
+            max_edge_cost = cost
         if not chosen:
-            raise ColoringAborted(
-                u, int(self.partition.class_of[u]), len(neighbors), self.partition.seed
-            )
-        slot[u] = chosen
-
-    def coloring(self) -> Coloring:
-        part, r = self.partition, self.r
-        assignment = ((part.class_of - 1) * r + np.asarray(self.slot)).tolist()
-        return Coloring(assignment=assignment, palette_size=part.ell * r)
-
-    def _degree(self) -> np.ndarray:
-        return np.asarray(self.fill) - np.asarray(self.start)
-
-    def per_class_degree(self) -> list[int]:
-        return self.partition.class_max(self._degree()).tolist()
-
-    def peak_stored_edges(self) -> int:
-        return int(self._degree().sum()) // 2  # stored edges are never dropped
-
-    def metrics(self, m: int, passes: int, aborted: bool) -> DeltaRunMetrics:
-        per_class = self.per_class_degree()
-        colors = 0 if aborted else self.coloring().colors_used
-        return DeltaRunMetrics(
-            n=self.partition.n,
-            m=m,
-            ell=self.partition.ell,
-            r=self.r,
-            passes=passes,
-            colors_used=colors,
-            peak_stored_edges=self.peak_stored_edges(),
-            max_class_degree=max(per_class, default=0),
-            per_class_degree=per_class,
-            aborted=aborted,
-            seed=self.partition.seed,
-            max_edge_cost=self.max_edge_cost,
-        )
+            stuck = a
+            break
+        slot[a] = chosen
+    return slot, np.asarray(fill) - np.asarray(start), max_edge_cost, stuck
 
 
 def run_delta_coloring(
-    stream: EdgeStream,
-    delta: int,
-    epsilon: float,
-    c: float = DEFAULT_C,
-    seed: int = 0,
+    stream: EdgeStream, delta: int, epsilon: float, c: float = DEFAULT_C, seed: int = 0
 ) -> tuple[Coloring, DeltaRunMetrics]:
     """Color stream's graph in exactly one pass.
 
@@ -261,17 +194,31 @@ def run_delta_coloring(
     metrics attached, when a class palette is exhausted; the pass is read to
     its end before the replay finds that out.
     """
-    state = OnlineColorState(*build_phase1(stream.n, delta, epsilon, c, seed))
+    n = stream.n
+    part, r = build_phase1(n, delta, epsilon, c, seed)
     before = stream.pass_count
+    # same-class occurrences, 16 B each; palettes are disjoint, so no other edge conflicts
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for u, v in stream.pass_chunks():
-        state.collect(u, v)
-    try:
-        state.replay()
-    except ColoringAborted as exc:
-        exc.metrics = state.metrics(m=stream.m, passes=stream.pass_count - before, aborted=True)
-        raise
-    coloring = state.coloring()
-    metrics = state.metrics(m=stream.m, passes=stream.pass_count - before, aborted=False)
+        same = part.same(u, v)
+        us.append(u[same])
+        vs.append(v[same])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    del us, vs
+    slot, degree, max_edge_cost, stuck = replay(u, v, n, r)
+    assignment = ((part.class_of - 1) * r + np.asarray(slot)).tolist()
+    coloring = Coloring(assignment=assignment, palette_size=part.ell * r)
+    per_class = part.class_max(degree).tolist()
+    aborted = stuck is not None
+    metrics = DeltaRunMetrics(
+        n=n, m=stream.m, ell=part.ell, r=r, passes=stream.pass_count - before,
+        colors_used=0 if aborted else coloring.colors_used,
+        peak_stored_edges=int(degree.sum()) // 2,  # stored edges are never dropped
+        max_class_degree=max(per_class), per_class_degree=per_class, aborted=aborted,
+        seed=seed, max_edge_cost=max_edge_cost,
+    )
+    if aborted:
+        raise ColoringAborted(stuck, int(part.class_of[stuck]), int(degree[stuck]), seed, metrics)
     return coloring, metrics
 
 

@@ -54,8 +54,7 @@ class SweepCell:
         )
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+INT, NUMBER = (int,), (int, float)
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -64,12 +63,24 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _optional(run: dict, key: str, kind: type, default=None):
+def _typed(value, key: str, kinds: tuple[type, ...]):
+    """value, if its type is exactly one of kinds: neither True nor 2.5 is an int."""
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"a sweep run's {key!r} must be {names}, got {value!r}")
+    return value
+
+
+def _optional(run: dict, key: str, kinds: tuple[type, ...], default=None):
     """run[key], or default when it is absent or null; any other type is rejected."""
     value = run.get(key)
-    if value is not None and type(value) is not kind:  # neither True nor 2.5 is an int
-        raise ValueError(f"a sweep run's {key!r} must be {kind.__name__}, got {value!r}")
-    return default if value is None else value
+    return default if value is None else _typed(value, key, kinds)
+
+
+def _grid(run: dict, key: str, kinds: tuple[type, ...], default) -> list:
+    """run[key] as a grid axis: one value or a list of values, each of kinds."""
+    values = _optional(run, key, (*kinds, list), default)
+    return [_typed(value, key, kinds) for value in (values if type(values) is list else [values])]
 
 
 def expand_spec(doc: dict) -> list[SweepCell]:
@@ -82,36 +93,39 @@ def expand_spec(doc: dict) -> list[SweepCell]:
     cells: list[SweepCell] = []
     for run in runs:
         family = _require(run, "family", "each sweep run")
-        n = int(_require(run, "n", "each sweep run"))
+        n = _typed(_require(run, "n", "each sweep run"), "n", INT)
         if "algorithm" not in run:
             raise ValueError("each sweep run needs an 'algorithm' (delta or arb)")
         algorithm = run["algorithm"]
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-        m = _optional(run, "m", int)
-        alpha = _optional(run, "alpha", int)
-        order = _optional(run, "order", str, "as-generated")
-        seeds = run.get("seeds", [0])
+        m = _optional(run, "m", INT)
+        alpha = _optional(run, "alpha", INT)
+        order = _optional(run, "order", (str,), "as-generated")
+        gen_seed = _optional(run, "gen_seed", INT, 0)
+        seeds = run.get("seeds")
         if isinstance(seeds, dict):
             start = _require(seeds, "start", "a 'seeds' range")
             count = _require(seeds, "count", "a 'seeds' range")
-            if not (isinstance(start, int) and isinstance(count, int)):
-                raise ValueError("a 'seeds' range needs integer 'start' and 'count'")
+            if type(start) is not int or type(count) is not int:
+                raise ValueError(f"a 'seeds' range needs integer 'start' and 'count': {seeds!r}")
             seeds = list(range(start, start + count))
-        for epsilon in _as_list(run.get("epsilon", 0.5)):
-            for c in _as_list(run.get("c", 1.0)):
-                for seed in _as_list(seeds):
+        else:
+            seeds = _grid(run, "seeds", INT, 0)
+        for epsilon in _grid(run, "epsilon", NUMBER, 0.5):
+            for c in _grid(run, "c", NUMBER, 1.0):
+                for seed in seeds:
                     cells.append(SweepCell(
                         family=family,
                         n=n,
                         m=m,
                         alpha=alpha,
                         order=order,
-                        gen_seed=int(run.get("gen_seed", 0)),
+                        gen_seed=gen_seed,
                         algorithm=algorithm,
                         epsilon=float(epsilon),
                         c=float(c),
-                        seed=int(seed),
+                        seed=seed,
                     ))
     return cells
 

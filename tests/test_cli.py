@@ -415,6 +415,24 @@ def test_sweep_command(tmp_path, capsys):
          "'alpha'"),
         ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
                     "order": ["random"]}]}, "'order'"),
+        ({"runs": [{"family": "complete", "n": 5.9, "algorithm": "delta"}]}, "'n'"),
+        ({"runs": [{"family": "complete", "n": True, "algorithm": "delta"}]}, "'n'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "gen_seed": 2.5}]}, "'gen_seed'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "seeds": [1.7]}]}, "'seeds'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "seeds": ["a"]}]}, "'seeds'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "seeds": {"start": True, "count": 2}}]}, "integer 'start' and 'count'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "seeds": {"start": 0, "count": 2.0}}]}, "integer 'start' and 'count'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "epsilon": True}]}, "'epsilon'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "epsilon": "0.5"}]}, "'epsilon'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "c": [1.0, "2"]}]}, "'c'"),
     ],
 )
 def test_sweep_malformed_spec_is_an_input_error(tmp_path, capsys, spec, key):

@@ -18,7 +18,6 @@ from streamcolor import (
     DeltaRunMetrics,
     EdgeStream,
     GenSpec,
-    OnlineColorState,
     PhasePartition,
     build_phase1,
     class_count,
@@ -28,7 +27,7 @@ from streamcolor import (
     verify_proper,
 )
 from streamcolor import seeding
-from streamcolor.delta_color import DEFAULT_C, mono_degree_profile
+from streamcolor.delta_color import DEFAULT_C, mono_degree_profile, replay
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -95,26 +94,19 @@ def test_phase_partition_draw_pins_the_phase1_stream(n, ell, seed):
     assert (part.n, part.ell, part.seed) == (n, ell, seed)
 
 
-def single_class_state(n: int, r: int) -> OnlineColorState:
-    part = PhasePartition(ell=1, class_of=np.ones(n, dtype=np.int64), seed=0)
-    return OnlineColorState(part, r)
-
-
 def test_process_edge_discards_cross_class():
     part = PhasePartition(ell=2, class_of=np.asarray([1, 2], dtype=np.int64), seed=0)
-    state = OnlineColorState(part, 5)
-    state.collect(np.asarray([0]), np.asarray([1]))
-    state.replay()
-    assert state.peak_stored_edges() == 0
-    assert state.slot == [1, 1]  # nobody recolors
+    with patch.object(PhasePartition, "draw", return_value=part):
+        coloring, metrics = run_delta_coloring(EdgeStream.from_edges(2, [(0, 1)]), 1, 0.5, 1.0)
+    assert metrics.peak_stored_edges == 0
+    assert coloring.assignment == [1, metrics.r + 1]  # nobody recolors: slot 1 in both classes
 
 
 def test_process_edge_moves_first_endpoint():
-    state = single_class_state(2, r=5)
-    state.collect(np.asarray([0]), np.asarray([1]))
-    state.replay()
-    assert state.slot == [2, 1]
-    assert state.peak_stored_edges() == 1
+    slot, degree, max_edge_cost, stuck = replay(np.asarray([0]), np.asarray([1]), 2, r=5)
+    assert slot == [2, 1]
+    assert int(degree.sum()) // 2 == 1
+    assert (max_edge_cost, stuck) == (3, None)  # 1 neighbor + 2 slot probes
 
 
 def test_empty_stream_leaves_everyone_on_first_slot():

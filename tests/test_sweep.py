@@ -58,6 +58,14 @@ def test_expand_scalar_seed():
     assert [cell.seed for cell in cells] == [4]
 
 
+def test_expand_integer_epsilon_and_c():
+    cells = expand_spec({
+        "runs": [{"family": "star", "n": 8, "algorithm": "delta", "epsilon": 1, "c": [2]}],
+    })
+    assert [(cell.epsilon, cell.c) for cell in cells] == [(1.0, 2.0)]
+    assert cells[0].slug().endswith("-e1.0-c2.0-g0-s0")
+
+
 def test_expand_rejects_missing_or_unknown_algorithm():
     with pytest.raises(ValueError, match="needs an 'algorithm'"):
         expand_spec({"runs": [{"family": "star", "n": 8}]})
