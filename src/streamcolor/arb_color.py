@@ -81,7 +81,8 @@ def offline_dag_color(
     class_of = np.asarray(class_of, dtype=np.int64)
     tail, head, key = _orient_arrays(edges_u, edges_v, lp)
     # CSR by tail: the out-neighbors of v are heads[start[v]:start[v + 1]]
-    heads = head[np.argsort(tail, kind="stable")].tolist()
+    ids = np.arange(n).astype(object)  # one shared int per vertex, not one per entry
+    heads = ids[head[np.argsort(tail, kind="stable")]].tolist()
     start = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=n)))).tolist()
     widths = np.asarray(out_degrees, dtype=np.int64) + 1
     block_end = np.cumsum(widths)
@@ -144,6 +145,7 @@ def run_arboricity_coloring(
         # endpoints are stored once
         stored = distinct_sorted(np.concatenate(codes))
         del codes
+        peak_stored_edges = len(stored)
         ps.finish_round()
         while ps.active_count:
             ps.run_round(stream)
@@ -151,17 +153,18 @@ def run_arboricity_coloring(
         exc.metrics = ArbRunMetrics(
             n=n, m=m, ell=cfg.ell, k=ps.rounds, passes=stream.pass_count - before,
             colors_used=0, per_class_out_degree=[],
-            peak_stored_edges=len(stored), stalled=True, seed=seed,
+            peak_stored_edges=peak_stored_edges, stalled=True, seed=seed,
         )
         raise
     lp = ps.partition()
     su, sv = np.divmod(stored, n)
+    del stored  # su and sv hold the edges now; free the codes before the offline stage
     out_degrees = out_degree_profile(su, sv, lp, part).tolist()
     coloring = offline_dag_color(su, sv, lp, part.class_of, out_degrees)
     metrics = ArbRunMetrics(
         n=n, m=m, ell=cfg.ell, k=lp.k, passes=stream.pass_count - before,
         colors_used=coloring.colors_used, per_class_out_degree=out_degrees,
-        peak_stored_edges=len(stored), stalled=False, seed=seed,
+        peak_stored_edges=peak_stored_edges, stalled=False, seed=seed,
     )
     return coloring, metrics
 

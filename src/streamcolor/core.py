@@ -29,6 +29,9 @@ import numpy as np
 
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
 _INT64_MAX = 2**63 - 1
+_MAX_LINE = 2 * _MAX_DIGITS + 2  # longest plain line, newline included
+BLOCK = 1 << 20  # bytes per block of the plain parse
+_CHECK_SLICE = 1 << 16  # pairs per slice of check_edges
 MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max fits
 
 
@@ -113,23 +116,27 @@ def open_stream(source, n: int | None = None) -> EdgeStream:
 
 def check_edges(n: int, u: np.ndarray, v: np.ndarray, lines: Sequence[int] | None = None) -> None:
     """Raise StreamFormatError for the first self-loop or endpoint outside
-    [0, n), citing ``lines[i]`` as the line of pair i when lines are given."""
-    bad = (u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n)
-    if bad.any():
-        i = int(bad.argmax())
-        loop = u[i] == v[i]
-        message = f"self-loop at vertex {u[i]}" if loop else f"endpoint out of range [0, {n})"
-        raise StreamFormatError(message, None if lines is None else lines[i])
+    [0, n), citing ``lines[i]`` as the line of pair i when lines are given.
+    Checks ``_CHECK_SLICE`` pairs at a time, so its scratch does not grow with m."""
+    for lo in range(0, len(u), _CHECK_SLICE):
+        a, b = u[lo : lo + _CHECK_SLICE], v[lo : lo + _CHECK_SLICE]
+        bad = (a == b) | (a < 0) | (b < 0) | (a >= n) | (b >= n)
+        if bad.any():
+            i = lo + int(bad.argmax())
+            loop = u[i] == v[i]
+            message = f"self-loop at vertex {u[i]}" if loop else f"endpoint out of range [0, {n})"
+            raise StreamFormatError(message, None if lines is None else lines[i])
 
 
 def read_pairs(path: Path, header: bool, check: Callable[..., None]):
     """Read a file of ``<a> <b>`` int64 pairs, after an ``<n> <m>`` line when
-    ``header``, as (header or None, a, b): by numpy when the file is plain, else
-    by a line scan that stops at the first format error. ``check(head, a, b,
-    lines)``, with ``lines[i]`` the line of pair i, raises the other errors
-    before that one, so either route reports the first error in the file.
+    ``header``, as (header or None, a, b): by numpy, block by block, when the
+    file is plain, else by a line scan that stops at the first format error.
+    ``check(head, a, b, lines)``, with ``lines[i]`` the line of pair i, raises
+    the other errors before that one, so either route reports the first error
+    in the file. Either way the two returned arrays stay resident.
     """
-    head, a, b, lines, error = _parse_plain(path.read_bytes(), header) or _scan_pairs(path, header)
+    head, a, b, lines, error = _parse_plain(path, header) or _scan_pairs(path, header)
     if header and head is None:
         raise error or StreamFormatError("missing header line '<n> <m>'")
     check(head, a, b, lines)
@@ -138,16 +145,49 @@ def read_pairs(path: Path, header: bool, check: Callable[..., None]):
     return head, a, b
 
 
-def _parse_plain(data: bytes, header: bool):
+def _parse_plain(path: Path, header: bool):
     """``_scan_pairs`` of a plain file, vectorized, else None.
 
     Accepts only digits, spaces and newlines laid out as ``<digits> <digits>``
     lines, each ending in a newline, with at most ``_MAX_DIGITS`` digits per
     number, so that every value fits in int64. Everything else (comments, blank
     lines, signs, tabs, CRLF) returns None and is left to ``_scan_pairs``.
+
+    The file is read in blocks of ``BLOCK`` bytes, each completed to the end
+    of its last line, and each block's values go straight into the two result
+    arrays, so the scratch is O(BLOCK) and not O(file). The arrays are
+    presized from the header's m, capped at one pair per 4 bytes of file (the
+    shortest pair line), and grow by doubling past that.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if len(buf) == 0 or buf[-1] != ord("\n"):
+    head, a, b, count = None, np.empty(0, np.int64), np.empty(0, np.int64), 0
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        while block := fh.read(BLOCK):
+            block += fh.readline(_MAX_LINE)  # the rest of a plain line, if any
+            vals = _plain_values(block)
+            if vals is None:
+                return None
+            if header and head is None:
+                head = int(vals[0]), int(vals[1])
+                vals = vals[2:]
+                cap = min(head[1], size // 4)
+                a, b = np.empty(cap, np.int64), np.empty(cap, np.int64)
+            k = len(vals) // 2
+            if count + k > len(a):
+                cap = max(2 * len(a), count + k)
+                a, b = _resized(a, count, cap), _resized(b, count, cap)
+            a[count : count + k] = vals[0::2]
+            b[count : count + k] = vals[1::2]
+            count += k
+    if len(a) != count:
+        a, b = _resized(a, count, count), _resized(b, count, count)
+    return head, a, b, range(1 + header, 1 + header + count), None
+
+
+def _plain_values(block: bytes) -> np.ndarray | None:
+    """The numbers of a block of whole plain lines, or None if it is not one."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    if buf[-1] != ord("\n"):
         return None
     seps = np.flatnonzero((buf - ord("0")) > 9)  # uint8 wraps below '0'
     kinds = buf[seps]
@@ -161,15 +201,17 @@ def _parse_plain(data: bytes, header: bool):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            vals = np.fromstring(data, dtype=np.int64, sep=" ")
+            vals = np.fromstring(block, dtype=np.int64, sep=" ")
         except (ValueError, DeprecationWarning):  # an unparsed tail; older numpy only warns
             return None
-    if len(vals) != count:
-        return None
-    head = (int(vals[0]), int(vals[1])) if header else None
-    vals = vals[2 * header :]
-    lines = range(1 + header, 1 + header + len(vals) // 2)
-    return head, vals[0::2].copy(), vals[1::2].copy(), lines, None
+    return vals if len(vals) == count else None
+
+
+def _resized(arr: np.ndarray, count: int, size: int) -> np.ndarray:
+    """A new int64 array of the given size that starts with arr[:count]."""
+    out = np.empty(size, dtype=np.int64)
+    out[:count] = arr[:count]
+    return out
 
 
 def _scan_pairs(path: Path, header: bool):

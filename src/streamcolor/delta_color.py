@@ -158,7 +158,8 @@ def replay(
     stamp = 0
     max_edge_cost = 0
     stuck = None
-    for a, b, fresh in zip(u.tolist(), v.tolist(), first.tolist()):
+    ids = np.arange(n).astype(object)  # one shared int per vertex, not one per entry
+    for a, b, fresh in zip(ids[u].tolist(), ids[v].tolist(), first.tolist()):
         if fresh:
             nbr[fill[a]] = b
             fill[a] += 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from streamcolor import (
     open_stream,
     run_delta_coloring,
 )
+from streamcolor import cli, core
 from streamcolor.core import MAX_PAIR_N, distinct_sorted, first_occurrences, pair_codes
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -144,6 +147,41 @@ def test_open_stream_rejects_malformed(tmp_path, content, fragment):
     p.write_text(content)
     with pytest.raises(StreamFormatError, match=fragment):
         open_stream(p)
+
+
+def test_check_edges_finds_the_first_error_in_a_late_slice(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_CHECK_SLICE", 3)
+    pairs = [(0, 1)] * 7 + [(2, 2), (0, 1), (0, 10)]  # pair 7 is on line 9
+    p = tmp_path / "g.txt"
+    p.write_text("10 10\n" + "".join(f"{a} {b}\n" for a, b in pairs))
+    with pytest.raises(StreamFormatError, match="^line 9: self-loop at vertex 2$"):
+        open_stream(p)
+    with pytest.raises(StreamFormatError, match="^endpoint out of range"):
+        EdgeStream.from_edges(5, pairs[:7] + [(0, 1), (1, 0), (0, 5)])
+
+
+def test_open_stream_scratch_is_bounded_by_blocks(tmp_path, monkeypatch):
+    # tracemalloc sees numpy's buffers: beyond the 16 bytes per edge of the
+    # stream's two int64 arrays, opening a plain file costs a few parse
+    # blocks, however many edges the file holds; with small blocks and check
+    # slices, small files show it
+    monkeypatch.setattr(core, "BLOCK", 1 << 14)
+    monkeypatch.setattr(core, "_CHECK_SLICE", 1 << 12)
+    excess = []
+    for m in (70_000, 280_000):  # at a fixed n, 0.6 and 2.6 MB of file
+        p = tmp_path / f"g{m}.txt"
+        gen = ["gen", "--family", "gnm", "--n", "4096", "--m", str(m), "--seed", "3"]
+        assert cli.main([*gen, "-o", str(p)]) == 0
+        tracemalloc.start()
+        try:
+            stream = open_stream(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.m == m
+        excess.append(peak - 16 * m)
+    assert max(excess) < 12 * core.BLOCK, excess
+    assert excess[1] < excess[0] + core.BLOCK, excess  # does not grow with m
 
 
 def test_measure_max_degree():

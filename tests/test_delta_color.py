@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import Phase, assume, event, given, settings
 from hypothesis import strategies as st
 
 from streamcolor import (
@@ -378,7 +378,9 @@ def multigraph_run(draw):
     return n, edges, delta, epsilon, c, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=300, deadline=None)
+# no shrink phase: shrinking a failure of this search can take minutes and
+# hundreds of MB; the unshrunk example is reported, and saved for replay
+@settings(max_examples=300, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(multigraph_run())
 def test_replay_matches_set_reference(run):
     """The array replay equals the per-edge dict-of-sets run at every chunk

@@ -46,7 +46,7 @@ def outcome(read, path: Path):
 
 
 def forced_scan(read, path: Path):
-    with mock.patch.object(core, "_parse_plain", lambda data, header: None):
+    with mock.patch.object(core, "_parse_plain", lambda path, header: None):
         return outcome(read, path)
 
 
@@ -104,40 +104,75 @@ DEEP_SELF_LOOP = b"1000 1000\n" + b"".join(
 )
 
 
-@pytest.mark.parametrize(
-    "data, header, plain, error",
-    [
-        (b"4 2\n0 1\n2 3", True, False, None),  # no trailing newline
-        (b"4 2\r\n0 1\r\n2 3\r\n", True, False, None),
-        (b"4 2\n0\t1\n2 3\n", True, False, None),
-        (b"0004 02\n00 01\n2 003\n", True, True, None),  # leading zeros
-        (b"4 1\n0 1000000000000000000\n", True, False, "line 2: endpoint out of range"),
-        (b"1000000000000000000 1\n0 1\n", True, False, None),  # a 19-digit n
-        (b"999999999999999999 1\n0 1\n", True, True, None),  # 18 digits is the limit
-        (b"4 0\n", True, True, None),  # header only
-        (b"4 3\n", True, True, "declares m=3 but file has 0 edges"),
-        (b"4 3\n0 1\n1 2\n0 4\n", True, True, "line 4: endpoint out of range"),
-        (DEEP_SELF_LOOP, True, True, "line 702: self-loop at vertex 700"),
-        (b"4 3\n0 1\n1 2\n", True, True, "declares m=3 but file has 2 edges"),
-        (b"4 2\n1 1\n0 x\n", True, False, "line 2: self-loop at vertex 1"),
-        (b"4 2\n0 x\n1 1\n", True, False, "line 2: non-integer field"),
-        (b"0 1\n1 2\n0 3\n2 2 2\n", False, False, "line 3: vertex 0 is colored twice"),
-    ],
-    ids=[
-        "no-final-newline", "crlf", "tab", "leading-zeros", "19-digit-endpoint",
-        "19-digit-n", "18-digit-n", "header-only", "header-only-declares-edges",
-        "out-of-range-on-last-line", "deep-self-loop", "declared-m-mismatch",
-        "self-loop-then-non-integer", "non-integer-then-self-loop",
-        "colored-twice-then-garbage",
-    ],
-)
-def test_routes_agree_on_edge_cases(data, header, plain, error):
-    assert (core._parse_plain(data, header) is not None) == plain
+EDGE_CASES = [
+    pytest.param(b"4 2\n0 1\n2 3", True, False, None, id="no-final-newline"),
+    pytest.param(b"4 2\r\n0 1\r\n2 3\r\n", True, False, None, id="crlf"),
+    pytest.param(b"4 2\n0\t1\n2 3\n", True, False, None, id="tab"),
+    pytest.param(b"0004 02\n00 01\n2 003\n", True, True, None, id="leading-zeros"),
+    pytest.param(b"4 1\n0 1000000000000000000\n", True, False, "line 2: endpoint out of range",
+                 id="19-digit-endpoint"),
+    pytest.param(b"1000000000000000000 1\n0 1\n", True, False, None, id="19-digit-n"),
+    pytest.param(b"999999999999999999 1\n0 1\n", True, True, None, id="18-digit-n"),
+    pytest.param(b"4 0\n", True, True, None, id="header-only"),
+    pytest.param(b"4 3\n", True, True, "declares m=3 but file has 0 edges",
+                 id="header-only-declares-edges"),
+    pytest.param(b"4 3\n0 1\n1 2\n0 4\n", True, True, "line 4: endpoint out of range",
+                 id="out-of-range-on-last-line"),
+    pytest.param(DEEP_SELF_LOOP, True, True, "line 702: self-loop at vertex 700",
+                 id="deep-self-loop"),
+    pytest.param(b"4 3\n0 1\n1 2\n", True, True, "declares m=3 but file has 2 edges",
+                 id="declared-m-mismatch"),
+    # the arrays are presized from m and must grow past an understated one
+    pytest.param(b"4 1\n0 1\n1 2\n2 3\n", True, True, "declares m=1 but file has 3 edges",
+                 id="declared-m-too-small"),
+    # a hostile m presizes no more than one pair per 4 bytes of file
+    pytest.param(b"4 999999999999999999\n0 1\n", True, True,
+                 "declares m=999999999999999999 but file has 1 edges", id="huge-declared-m"),
+    pytest.param(b"4 2\n1 1\n0 x\n", True, False, "line 2: self-loop at vertex 1",
+                 id="self-loop-then-non-integer"),
+    pytest.param(b"4 2\n0 x\n1 1\n", True, False, "line 2: non-integer field",
+                 id="non-integer-then-self-loop"),
+    pytest.param(b"0 1\n1 2\n0 3\n2 2 2\n", False, False, "line 3: vertex 0 is colored twice",
+                 id="colored-twice-then-garbage"),
+]
+
+
+@pytest.mark.parametrize("data, header, plain, error", EDGE_CASES)
+def test_routes_agree_on_edge_cases(tmp_path, data, header, plain, error):
+    path = tmp_path / "pairs.txt"
+    path.write_bytes(data)
+    assert (core._parse_plain(path, header) is not None) == plain
     result = assert_same(data, header)
     if error is None:
         assert not isinstance(result[0], str), result
     else:
         assert result[0] == "StreamFormatError" and error in result[1]
+
+
+# blocks that split a file after one line, in mid-line and in mid-number;
+# "line" is the length of the file's first line
+BLOCKS = [1, 3, 7, "line"]
+
+
+def block_bytes(block, data: bytes) -> int:
+    return data.index(b"\n") + 1 if block == "line" else block
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("data, header, plain, error", EDGE_CASES)
+def test_routes_agree_on_edge_cases_in_small_blocks(
+    tmp_path, monkeypatch, block, data, header, plain, error
+):
+    monkeypatch.setattr(core, "BLOCK", block_bytes(block, data))
+    test_routes_agree_on_edge_cases(tmp_path, data, header, plain, error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_plain_files(), st.sampled_from(BLOCKS))
+def test_routes_agree_on_near_plain_files_in_small_blocks(file, block):
+    data = file[0]
+    with mock.patch.object(core, "BLOCK", block_bytes(block, data) if b"\n" in data else 1):
+        assert_same(*file)
 
 
 def test_older_numpy_warning_takes_the_scan_route(tmp_path, monkeypatch):
@@ -153,14 +188,17 @@ def test_older_numpy_warning_takes_the_scan_route(tmp_path, monkeypatch):
         return fromstring(*args, **kwargs)
 
     monkeypatch.setattr(np, "fromstring", warning_fromstring)
-    assert core._parse_plain(path.read_bytes(), True) is None
+    assert core._parse_plain(path, True) is None
     assert outcome(open_stream, path) == expected
+
+
+GNM_ARGS = ["--family", "gnm", "--n", "300", "--m", "2000", "--seed", "5"]
 
 
 @pytest.mark.parametrize(
     "gen_args",
     [
-        ["--family", "gnm", "--n", "300", "--m", "2000", "--seed", "5"],
+        GNM_ARGS,
         ["--family", "forest-union", "--n", "300", "--alpha", "4", "--seed", "6",
          "--order", "random"],
     ],
@@ -176,3 +214,9 @@ def test_gen_output_takes_the_vectorized_route(tmp_path, monkeypatch, gen_args):
 
     monkeypatch.setattr(core, "_scan_pairs", no_scan)
     assert outcome(open_stream, path) == expected
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_gen_output_takes_the_vectorized_route_in_small_blocks(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(core, "BLOCK", block_bytes(block, b"300 2000\n"))  # GNM_ARGS's header
+    test_gen_output_takes_the_vectorized_route(tmp_path, monkeypatch, GNM_ARGS)
