@@ -20,6 +20,7 @@ are the one dedup idiom: a sort and a neighbour compare.
 
 from __future__ import annotations
 
+import array
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,7 @@ import numpy as np
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
 _INT64_MAX = 2**63 - 1
 _MAX_LINE = 2 * _MAX_DIGITS + 2  # longest plain line, newline included
-BLOCK = 1 << 20  # bytes per block of the plain parse
+BLOCK = 1 << 17  # bytes per block of the plain parse
 _CHECK_SLICE = 1 << 16  # pairs per slice of check_edges
 MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max fits
 
@@ -51,6 +52,15 @@ class StreamMeta:
     max_degree: int | None = None
 
 
+def id_dtype(n: int) -> np.dtype:
+    """The narrowest of uint8, uint16 and uint32 that holds every vertex id
+    in [0, n), else int64."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n - 1 <= np.iinfo(dtype).max:  # two Python ints: no numpy promotion rule applies
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 class EdgeStream:
     """Ordered edge source that can be traversed any number of times.
 
@@ -58,26 +68,31 @@ class EdgeStream:
     finishes it (a started pass is a spent pass). Endpoint order within each
     edge is preserved as written, since the algorithms treat the first-listed
     endpoint specially.
+
+    The endpoints are kept at ``id_dtype(n)``, 1 to 8 bytes per id, so they
+    must already pass ``check_edges``: an id beyond the width would wrap.
+    Every chunk a pass yields is int64 whatever the width.
     """
 
     def __init__(self, n: int, u: np.ndarray, v: np.ndarray):
         self.n = int(n)
-        self._u = u
-        self._v = v
+        dtype = id_dtype(self.n)
+        self._u = u.astype(dtype, copy=False)
+        self._v = v.astype(dtype, copy=False)
         self.pass_count = 0
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "EdgeStream":
         """Wrap an in-memory edge sequence ((m, 2) array or iterable of pairs)."""
         try:
-            arr = np.asarray(edges, dtype=np.int64)
+            arr = np.array(edges, dtype=np.int64)  # a copy, so the stream owns its ids
         except OverflowError:
             raise StreamFormatError("endpoint does not fit in a signed 64-bit integer") from None
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise StreamFormatError("edges must be pairs of endpoints")
-        u, v = arr[:, 0].copy(), arr[:, 1].copy()
+        u, v = arr[:, 0], arr[:, 1]
         check_edges(n, u, v)
         return cls(n, u, v)
 
@@ -87,11 +102,16 @@ class EdgeStream:
 
     def pass_chunks(self, chunk_size: int = 1 << 16) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """One full traversal, as consecutive (u, v) int64 array chunks in
-        stream order. This is the only way to read the stream."""
+        stream order. This is the only way to read the stream.
+
+        Each chunk is widened to int64 whatever the stored width, since
+        consumers compute with ids (``pair_codes``' ``min * n``) in the
+        chunk's own dtype, where a narrow one would wrap."""
         self.pass_count += 1
         u, v = self._u, self._v
         for lo in range(0, len(u), chunk_size):
-            yield u[lo : lo + chunk_size], v[lo : lo + chunk_size]
+            hi = lo + chunk_size
+            yield u[lo:hi].astype(np.int64, copy=False), v[lo:hi].astype(np.int64, copy=False)
 
 
 def open_stream(source, n: int | None = None) -> EdgeStream:
@@ -134,7 +154,10 @@ def read_pairs(path: Path, header: bool, check: Callable[..., None]):
     file is plain, else by a line scan that stops at the first format error.
     ``check(head, a, b, lines)``, with ``lines[i]`` the line of pair i, raises
     the other errors before that one, so either route reports the first error
-    in the file. Either way the two returned arrays stay resident.
+    in the file. Either way the two returned arrays stay resident. The numpy
+    route of a file with a header returns them at ``id_dtype(n)``, which holds
+    every value, since a value beyond that width sends the file to the scan;
+    every other result is int64.
     """
     head, a, b, lines, error = _parse_plain(path, header) or _scan_pairs(path, header)
     if header and head is None:
@@ -155,9 +178,12 @@ def _parse_plain(path: Path, header: bool):
 
     The file is read in blocks of ``BLOCK`` bytes, each completed to the end
     of its last line, and each block's values go straight into the two result
-    arrays, so the scratch is O(BLOCK) and not O(file). The arrays are
-    presized from the header's m, capped at one pair per 4 bytes of file (the
-    shortest pair line), and grow by doubling past that.
+    arrays, so the scratch is O(BLOCK) and not O(file). With a header the
+    arrays are ``id_dtype(n)``, and a value too wide for that, which is out of
+    range in any case, returns None, so the scan reports it with its line;
+    without one they are int64. They are presized from the header's m, capped
+    at one pair per 4 bytes of file (the shortest pair line), and grow by
+    doubling past that.
     """
     head, a, b, count = None, np.empty(0, np.int64), np.empty(0, np.int64), 0
     size = path.stat().st_size
@@ -170,8 +196,10 @@ def _parse_plain(path: Path, header: bool):
             if header and head is None:
                 head = int(vals[0]), int(vals[1])
                 vals = vals[2:]
-                cap = min(head[1], size // 4)
-                a, b = np.empty(cap, np.int64), np.empty(cap, np.int64)
+                cap, dtype = min(head[1], size // 4), id_dtype(head[0])
+                a, b = np.empty(cap, dtype), np.empty(cap, dtype)
+            if len(vals) and vals.max() > np.iinfo(a.dtype).max:
+                return None
             k = len(vals) // 2
             if count + k > len(a):
                 cap = max(2 * len(a), count + k)
@@ -208,8 +236,8 @@ def _plain_values(block: bytes) -> np.ndarray | None:
 
 
 def _resized(arr: np.ndarray, count: int, size: int) -> np.ndarray:
-    """A new int64 array of the given size that starts with arr[:count]."""
-    out = np.empty(size, dtype=np.int64)
+    """A new array of arr's dtype and the given size that starts with arr[:count]."""
+    out = np.empty(size, dtype=arr.dtype)
     out[:count] = arr[:count]
     return out
 
@@ -219,7 +247,7 @@ def _scan_pairs(path: Path, header: bool):
     at the first line without two integers, with a negative header value or
     with a pair value beyond int64. Returns (head, a, b, line of each pair,
     that format error or None)."""
-    head, vals, lines, error = None, [], [], None
+    head, vals, lines, error = None, array.array("q"), array.array("q"), None
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, start=1):
@@ -240,11 +268,11 @@ def _scan_pairs(path: Path, header: bool):
                     continue
                 if not -_INT64_MAX - 1 <= min(a, b) <= max(a, b) <= _INT64_MAX:
                     raise StreamFormatError("value outside the signed 64-bit range", line_no)
-                vals += a, b
+                vals.extend((a, b))
                 lines.append(line_no)
     except StreamFormatError as exc:
         error = exc
-    arr = np.array(vals, dtype=np.int64)
+    arr = np.frombuffer(vals, dtype=np.int64)
     return head, arr[0::2].copy(), arr[1::2].copy(), lines, error
 
 

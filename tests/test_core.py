@@ -137,6 +137,7 @@ def test_open_stream_zero_m_header_means_unknown(tmp_path):
         ("4 1\n0 1 2\n", "line 2"),
         ("4 1\n0 x\n", "line 2: non-integer"),
         ("4 1\n1 1\n", "line 2: self-loop"),
+        ("300 2\n0 1\n299 299\n", "^line 3: self-loop at vertex 299$"),  # a uint16 stream
         ("4 1\n0 9\n", "line 2: endpoint out of range"),
         ("-1 0\n", "line 1"),
         ("4 5\n0 1\n", "declares m=5"),
@@ -160,28 +161,50 @@ def test_check_edges_finds_the_first_error_in_a_late_slice(tmp_path, monkeypatch
         EdgeStream.from_edges(5, pairs[:7] + [(0, 1), (1, 0), (0, 5)])
 
 
+def gnm_file(tmp_path, m: int, prefix: bytes = b""):
+    """A gnm edge file at n 4096 with m edges, after the given bytes."""
+    p = tmp_path / f"g{m}.txt"
+    gen = ["gen", "--family", "gnm", "--n", "4096", "--m", str(m), "--seed", "3"]
+    assert cli.main([*gen, "-o", str(p)]) == 0
+    p.write_bytes(prefix + p.read_bytes())
+    return p
+
+
+def traced_open(path):
+    """The opened stream and the tracemalloc peak of opening it."""
+    tracemalloc.start()
+    try:
+        stream = open_stream(path)
+        return stream, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_open_stream_scratch_is_bounded_by_blocks(tmp_path, monkeypatch):
-    # tracemalloc sees numpy's buffers: beyond the 16 bytes per edge of the
-    # stream's two int64 arrays, opening a plain file costs a few parse
+    # tracemalloc sees numpy's buffers: beyond the stream's two id arrays,
+    # 2 bytes per id at n 4096, opening a plain file costs a few parse
     # blocks, however many edges the file holds; with small blocks and check
     # slices, small files show it
     monkeypatch.setattr(core, "BLOCK", 1 << 14)
     monkeypatch.setattr(core, "_CHECK_SLICE", 1 << 12)
     excess = []
     for m in (70_000, 280_000):  # at a fixed n, 0.6 and 2.6 MB of file
-        p = tmp_path / f"g{m}.txt"
-        gen = ["gen", "--family", "gnm", "--n", "4096", "--m", str(m), "--seed", "3"]
-        assert cli.main([*gen, "-o", str(p)]) == 0
-        tracemalloc.start()
-        try:
-            stream = open_stream(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        stream, peak = traced_open(gnm_file(tmp_path, m))
         assert stream.m == m
-        excess.append(peak - 16 * m)
+        itemsize = stream._u.itemsize
+        assert itemsize == 2
+        excess.append(peak - 2 * itemsize * m)
     assert max(excess) < 12 * core.BLOCK, excess
     assert excess[1] < excess[0] + core.BLOCK, excess  # does not grow with m
+
+
+def test_comment_led_file_scans_in_compact_arrays(tmp_path):
+    # one comment line sends the whole file to the line scan, which collects
+    # each pair's values and line in packed int64 arrays, not Python lists
+    m = 70_000
+    stream, peak = traced_open(gnm_file(tmp_path, m, prefix=b"# comment\n"))
+    assert stream.m == m
+    assert peak < 64 * m, peak / m
 
 
 def test_measure_max_degree():
@@ -228,6 +251,33 @@ def test_stream_arrays_are_int64():
     s = EdgeStream.from_edges(4, np.asarray(K4_EDGES, dtype=np.int32))
     for u, v in s.pass_chunks():
         assert u.dtype == np.int64 and v.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "n, dtype",
+    [(0, np.uint8), (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+     (65537, np.uint32), (2**32, np.uint32), (2**32 + 1, np.int64)],
+)
+def test_id_dtype_is_the_narrowest_that_holds_n_minus_1(n, dtype):
+    assert core.id_dtype(n) == dtype
+
+
+@pytest.mark.parametrize("n", [256, 257, 65537, MAX_PAIR_N, 2**32 + 1])
+def test_narrow_stream_chunks_are_int64(n):
+    # the ids are stored narrow and widened per chunk, so a consumer's
+    # arithmetic, such as pair_codes' min * n, never wraps
+    edges = [(n - 1, 0), (0, n - 1), (n - 2, n - 1), (1, 2), (n - 1, 1), (n - 3, 3), (5, 6)] * 3
+    s = EdgeStream.from_edges(n, edges)
+    assert s._u.dtype == core.id_dtype(n)
+    for chunk_size in (1, 7, 1 << 16):
+        chunks = list(s.pass_chunks(chunk_size=chunk_size))
+        assert all(u.dtype == np.int64 and v.dtype == np.int64 for u, v in chunks)
+        u = np.concatenate([c[0] for c in chunks])
+        v = np.concatenate([c[1] for c in chunks])
+        assert list(zip(u.tolist(), v.tolist())) == edges
+        if n <= MAX_PAIR_N:
+            codes = pair_codes(u, v, n)
+            assert codes[0] == codes[1] == n - 1 and codes[2] == (n - 2) * n + n - 1
 
 
 INT64_EDGE = 2**63 - 1

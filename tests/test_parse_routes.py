@@ -134,6 +134,17 @@ EDGE_CASES = [
                  id="non-integer-then-self-loop"),
     pytest.param(b"0 1\n1 2\n0 3\n2 2 2\n", False, False, "line 3: vertex 0 is colored twice",
                  id="colored-twice-then-garbage"),
+    # a value too wide for the stored ids (uint16 at n 300, uint32 at n
+    # 70000) sends the file to the scan, which reports it as before; stored,
+    # 65541 and 2**32 would wrap to the valid ids 5 and 0
+    pytest.param(b"300 2\n0 299\n0 70000\n", True, False, "line 3: endpoint out of range [0, 300)",
+                 id="beyond-uint16"),
+    pytest.param(b"300 1\n0 65541\n", True, False, "line 2: endpoint out of range [0, 300)",
+                 id="beyond-uint16-wraps-into-range"),
+    pytest.param(b"70000 2\n69999 0\n4294967296 1\n", True, False,
+                 "line 3: endpoint out of range [0, 70000)", id="beyond-uint32"),
+    pytest.param(b"300 2\n5 5\n0 70000\n", True, False, "line 2: self-loop at vertex 5",
+                 id="self-loop-then-beyond-uint16"),
 ]
 
 
@@ -173,6 +184,19 @@ def test_routes_agree_on_near_plain_files_in_small_blocks(file, block):
     data = file[0]
     with mock.patch.object(core, "BLOCK", block_bytes(block, data) if b"\n" in data else 1):
         assert_same(*file)
+
+
+@pytest.mark.parametrize("n", [256, 257, 65536, 65537])
+def test_routes_agree_at_id_width_limits(tmp_path, n):
+    # endpoints up to n - 1, the largest id the narrowest width must hold
+    edges = [(n - 1, 0), (1, n - 1), (n - 2, n - 1), (0, 1), (n - 1, n // 2)]
+    path = tmp_path / "g.txt"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges))
+    head, a, _, _, _ = core._parse_plain(path, True)
+    assert head == (n, len(edges)) and a.dtype == core.id_dtype(n)
+    expected = n, len(edges), [e[0] for e in edges], [e[1] for e in edges]
+    assert assert_same(path.read_bytes()) == expected
+    assert outcome(lambda _: open_stream(edges, n=n), path) == expected
 
 
 def test_older_numpy_warning_takes_the_scan_route(tmp_path, monkeypatch):
