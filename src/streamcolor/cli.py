@@ -65,21 +65,25 @@ def write_coloring_file(path: str, coloring: Coloring) -> None:
 
 
 def read_coloring_file(path: str, n: int) -> Coloring:
+    seen = np.zeros(n, dtype=bool)  # the vertices of the blocks checked so far
+
     def check(_head, vertex, _color, lines):
         twice = np.ones(len(vertex), dtype=bool)
         twice[first_occurrences(vertex)] = False
-        bad = twice | (vertex < 0) | (vertex >= n)
+        inside = (vertex >= 0) & (vertex < n)
+        twice[inside] |= seen[vertex[inside]]
+        bad = twice | ~inside
         if bad.any():
             i = int(bad.argmax())
             message = f"vertex out of range [0, {n})"
             if twice[i]:
                 message = f"vertex {vertex[i]} is colored twice"
             raise StreamFormatError(message, lines[i])
+        seen[vertex] = True
 
     _, vertex, color = read_pairs(Path(path), False, check)
     if len(vertex) < n:
-        first = int(np.bincount(vertex, minlength=n).argmin())
-        raise ValueError(f"coloring missing a vertex: first missing id {first}")
+        raise ValueError(f"coloring missing a vertex: first missing id {int(seen.argmin())}")
     assignment = np.empty(n, dtype=np.int64)
     assignment[vertex] = color
     return Coloring(assignment=assignment.tolist(), palette_size=int(color.max()) + 1 if n else 0)
@@ -132,7 +136,7 @@ def cmd_peel(args) -> int:
         print(f"stall: {exc}", file=sys.stderr)
         return 3
     write_pairs(args.output, _indexed(lp.layer))
-    print(f"peeled into k={lp.k} layers (threshold={lp.threshold}, passes={lp.passes})")
+    print(f"peeled into k={lp.k} layers (threshold={lp.threshold}, passes={lp.k})")
     return 0
 
 

@@ -21,6 +21,8 @@ are the one dedup idiom: a sort and a neighbour compare.
 from __future__ import annotations
 
 import array
+import io
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,8 +32,7 @@ import numpy as np
 
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
 _INT64_MAX = 2**63 - 1
-_MAX_LINE = 2 * _MAX_DIGITS + 2  # longest plain line, newline included
-BLOCK = 1 << 17  # bytes per block of the plain parse
+BLOCK = 1 << 17  # bytes per block of read_pairs
 _CHECK_SLICE = 1 << 16  # pairs per slice of check_edges
 MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max fits
 
@@ -150,70 +151,63 @@ def check_edges(n: int, u: np.ndarray, v: np.ndarray, lines: Sequence[int] | Non
 
 def read_pairs(path: Path, header: bool, check: Callable[..., None]):
     """Read a file of ``<a> <b>`` int64 pairs, after an ``<n> <m>`` line when
-    ``header``, as (header or None, a, b): by numpy, block by block, when the
-    file is plain, else by a line scan that stops at the first format error.
-    ``check(head, a, b, lines)``, with ``lines[i]`` the line of pair i, raises
-    the other errors before that one, so either route reports the first error
-    in the file. Either way the two returned arrays stay resident. The numpy
-    route of a file with a header returns them at ``id_dtype(n)``, which holds
-    every value, since a value beyond that width sends the file to the scan;
-    every other result is int64.
+    ``header``, as (header or None, a, b). The file is opened once and read
+    front to back, so a pipe works, in blocks of ``BLOCK`` bytes, each
+    completed to the end of its last line: numpy tokenizes a plain block, a
+    line scan any other. Each block's pairs pass ``check(head, a, b, lines)``,
+    ``lines[i]`` the line of pair i, before they are stored and before the
+    block's format error is raised, so the first error in the file is the one
+    raised. The pairs go straight into a and b: int64 without a header, else
+    ``id_dtype(n)``, so ``check`` must reject a value outside [0, n), and
+    presized from m, capped at one pair per 4 bytes of file (the shortest
+    pair line). Both grow by doubling, so the scratch is a few blocks.
     """
-    head, a, b, lines, error = _parse_plain(path, header) or _scan_pairs(path, header)
+    head, a, b, count, line = None, np.empty(0, np.int64), np.empty(0, np.int64), 0, 1
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
+        while block := fh.read(BLOCK):
+            block += fh.readline()  # the rest of the block's last line
+            found, vals, lines, line, error = _block_pairs(block, line, header and head is None)
+            if found is not None:
+                head, cap, dtype = found, min(found[1], size // 4), id_dtype(found[0])
+                a, b = np.empty(cap, dtype), np.empty(cap, dtype)
+            k = len(vals) // 2
+            if k:  # a block of comments may come before the header
+                check(head, vals[0::2], vals[1::2], lines)
+                if count + k > len(a):
+                    cap = max(2 * len(a), count + k)
+                    a, b = _resized(a, count, cap), _resized(b, count, cap)
+                a[count : count + k] = vals[0::2]
+                b[count : count + k] = vals[1::2]
+                count += k
+            if error is not None:
+                raise error
     if header and head is None:
-        raise error or StreamFormatError("missing header line '<n> <m>'")
-    check(head, a, b, lines)
-    if error is not None:
-        raise error
+        raise StreamFormatError("missing header line '<n> <m>'")
+    if len(a) != count:
+        a, b = _resized(a, count, count), _resized(b, count, count)
     return head, a, b
 
 
-def _parse_plain(path: Path, header: bool):
-    """``_scan_pairs`` of a plain file, vectorized, else None.
-
-    Accepts only digits, spaces and newlines laid out as ``<digits> <digits>``
-    lines, each ending in a newline, with at most ``_MAX_DIGITS`` digits per
-    number, so that every value fits in int64. Everything else (comments, blank
-    lines, signs, tabs, CRLF) returns None and is left to ``_scan_pairs``.
-
-    The file is read in blocks of ``BLOCK`` bytes, each completed to the end
-    of its last line, and each block's values go straight into the two result
-    arrays, so the scratch is O(BLOCK) and not O(file). With a header the
-    arrays are ``id_dtype(n)``, and a value too wide for that, which is out of
-    range in any case, returns None, so the scan reports it with its line;
-    without one they are int64. They are presized from the header's m, capped
-    at one pair per 4 bytes of file (the shortest pair line), and grow by
-    doubling past that.
-    """
-    head, a, b, count = None, np.empty(0, np.int64), np.empty(0, np.int64), 0
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-        while block := fh.read(BLOCK):
-            block += fh.readline(_MAX_LINE)  # the rest of a plain line, if any
-            vals = _plain_values(block)
-            if vals is None:
-                return None
-            if header and head is None:
-                head = int(vals[0]), int(vals[1])
-                vals = vals[2:]
-                cap, dtype = min(head[1], size // 4), id_dtype(head[0])
-                a, b = np.empty(cap, dtype), np.empty(cap, dtype)
-            if len(vals) and vals.max() > np.iinfo(a.dtype).max:
-                return None
-            k = len(vals) // 2
-            if count + k > len(a):
-                cap = max(2 * len(a), count + k)
-                a, b = _resized(a, count, cap), _resized(b, count, cap)
-            a[count : count + k] = vals[0::2]
-            b[count : count + k] = vals[1::2]
-            count += k
-    if len(a) != count:
-        a, b = _resized(a, count, count), _resized(b, count, count)
-    return head, a, b, range(1 + header, 1 + header + count), None
+def _block_pairs(block: bytes, line: int, want_header: bool):
+    """One block of whole lines, the first on ``line``, as (header or None,
+    int64 values, line of each pair, the line after the block, format error
+    or None). The header is the block's first pair when ``want_header``."""
+    vals = _plain_values(block)
+    if vals is None:
+        # text mode's line ends: \n, \r\n or a lone \r
+        return _scan_block(io.StringIO(block.decode("utf-8"), newline=None), line, want_header)
+    end = line + len(vals) // 2
+    if not want_header:
+        return None, vals, range(line, end), end, None
+    return (int(vals[0]), int(vals[1])), vals[2:], range(line + 1, end), end, None
 
 
 def _plain_values(block: bytes) -> np.ndarray | None:
-    """The numbers of a block of whole plain lines, or None if it is not one."""
+    """The numbers of a block of whole plain lines, or None if it is not one:
+    only ``<digits> <digits>\\n`` lines, at most ``_MAX_DIGITS`` digits per
+    number, so that every value fits in int64. Comments, blank lines, signs,
+    tabs and CRLF are left to ``_scan_block``."""
     buf = np.frombuffer(block, dtype=np.uint8)
     if buf[-1] != ord("\n"):
         return None
@@ -242,38 +236,36 @@ def _resized(arr: np.ndarray, count: int, size: int) -> np.ndarray:
     return out
 
 
-def _scan_pairs(path: Path, header: bool):
-    """The line scan: skips blank and ``#`` lines and only tokenizes, stopping
-    at the first line without two integers, with a negative header value or
-    with a pair value beyond int64. Returns (head, a, b, line of each pair,
-    that format error or None)."""
+def _scan_block(block: io.StringIO, line: int, want_header: bool):
+    """``_block_pairs`` by a line scan: skips blank and ``#`` lines and only
+    tokenizes, stopping at the first line without two integers, with a
+    negative header value or with a pair value beyond int64."""
     head, vals, lines, error = None, array.array("q"), array.array("q"), None
+    line_no = line - 1
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                parts = text.split()
-                if len(parts) != 2:
-                    raise StreamFormatError("expected two whitespace-separated fields", line_no)
-                try:
-                    a, b = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise StreamFormatError("non-integer field", line_no) from None
-                if header and head is None:
-                    if a < 0 or b < 0:
-                        raise StreamFormatError("header '<n> <m>' must be non-negative", line_no)
-                    head = a, b
-                    continue
-                if not -_INT64_MAX - 1 <= min(a, b) <= max(a, b) <= _INT64_MAX:
-                    raise StreamFormatError("value outside the signed 64-bit range", line_no)
-                vals.extend((a, b))
-                lines.append(line_no)
+        for line_no, raw in enumerate(block, start=line):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            parts = text.split()
+            if len(parts) != 2:
+                raise StreamFormatError("expected two whitespace-separated fields", line_no)
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise StreamFormatError("non-integer field", line_no) from None
+            if want_header and head is None:
+                if a < 0 or b < 0:
+                    raise StreamFormatError("header '<n> <m>' must be non-negative", line_no)
+                head = a, b
+                continue
+            if not -_INT64_MAX - 1 <= min(a, b) <= max(a, b) <= _INT64_MAX:
+                raise StreamFormatError("value outside the signed 64-bit range", line_no)
+            vals.extend((a, b))
+            lines.append(line_no)
     except StreamFormatError as exc:
         error = exc
-    arr = np.frombuffer(vals, dtype=np.int64)
-    return head, arr[0::2].copy(), arr[1::2].copy(), lines, error
+    return head, np.frombuffer(vals, dtype=np.int64), lines, line_no + 1, error
 
 
 def measure_max_degree(stream: EdgeStream) -> int:

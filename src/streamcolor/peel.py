@@ -71,11 +71,12 @@ class LayerPartition:
     layer: list[int] = field(repr=False)
     threshold: int
     witnessed_degree: list[int] = field(repr=False)
-    passes: int
 
     @property
     def n(self) -> int:
         return len(self.layer)
+
+    passes = property(lambda self: self.k)  # one pass per round; bench/run.py reads it
 
 
 class PeelState:
@@ -132,7 +133,6 @@ class PeelState:
             layer=self.layer.tolist(),
             threshold=self.threshold,
             witnessed_degree=self.witnessed.tolist(),
-            passes=self.rounds,
         )
 
     def run_round(self, stream: EdgeStream) -> int:

@@ -248,7 +248,7 @@ def test_criterion_7_offline_dag_coloring_random_partitions():
             k = int(rng.integers(1, 5))
             layer = [int(x) for x in rng.integers(1, k + 1, size=n)]
             lp = LayerPartition(
-                k=k, layer=layer, threshold=0, witnessed_degree=[0] * n, passes=k,
+                k=k, layer=layer, threshold=0, witnessed_degree=[0] * n,
             )
             keys = [(layer[v], v) for v in range(n)]
             out = [0] * n

@@ -32,7 +32,7 @@ K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 def flat_partition(n: int) -> LayerPartition:
     return LayerPartition(
-        k=1, layer=[1] * n, threshold=2, witnessed_degree=[0] * n, passes=1,
+        k=1, layer=[1] * n, threshold=2, witnessed_degree=[0] * n,
     )
 
 
@@ -129,7 +129,7 @@ def test_offline_dag_color_respects_orientation():
     # center sits below the leaves, so it points at all of them and must
     # dodge their shared first color
     lp = LayerPartition(
-        k=2, layer=[1, 2, 2, 2], threshold=2, witnessed_degree=[0] * 4, passes=2,
+        k=2, layer=[1, 2, 2, 2], threshold=2, witnessed_degree=[0] * 4,
     )
     coloring = offline_dag_color(*chunk((0, 1), (0, 2), (0, 3)), lp, np.ones(4), [3])
     assert coloring.assignment == [1, 0, 0, 0]

@@ -161,12 +161,13 @@ def test_check_edges_finds_the_first_error_in_a_late_slice(tmp_path, monkeypatch
         EdgeStream.from_edges(5, pairs[:7] + [(0, 1), (1, 0), (0, 5)])
 
 
-def gnm_file(tmp_path, m: int, prefix: bytes = b""):
-    """A gnm edge file at n 4096 with m edges, after the given bytes."""
+def gnm_file(tmp_path, m: int, prefix: bytes = b"", newline: bytes = b"\n"):
+    """A gnm edge file at n 4096 with m edges, after the given bytes, with
+    the given line ends."""
     p = tmp_path / f"g{m}.txt"
     gen = ["gen", "--family", "gnm", "--n", "4096", "--m", str(m), "--seed", "3"]
     assert cli.main([*gen, "-o", str(p)]) == 0
-    p.write_bytes(prefix + p.read_bytes())
+    p.write_bytes(prefix + p.read_bytes().replace(b"\n", newline))
     return p
 
 
@@ -180,31 +181,27 @@ def traced_open(path):
         tracemalloc.stop()
 
 
-def test_open_stream_scratch_is_bounded_by_blocks(tmp_path, monkeypatch):
+@pytest.mark.parametrize("prefix, newline", [
+    pytest.param(b"", b"\n", id="plain"),
+    pytest.param(b"# comment\n", b"\n", id="comment-led"),  # the scan takes one block
+    pytest.param(b"", b"\r\n", id="crlf"),  # the scan takes every block
+])
+def test_open_stream_scratch_is_bounded_by_blocks(tmp_path, monkeypatch, prefix, newline):
     # tracemalloc sees numpy's buffers: beyond the stream's two id arrays,
-    # 2 bytes per id at n 4096, opening a plain file costs a few parse
-    # blocks, however many edges the file holds; with small blocks and check
-    # slices, small files show it
+    # 2 bytes per id at n 4096, opening a file costs a few parse blocks,
+    # however many edges the file holds and whichever route its blocks take;
+    # with small blocks and check slices, small files show it
     monkeypatch.setattr(core, "BLOCK", 1 << 14)
     monkeypatch.setattr(core, "_CHECK_SLICE", 1 << 12)
     excess = []
     for m in (70_000, 280_000):  # at a fixed n, 0.6 and 2.6 MB of file
-        stream, peak = traced_open(gnm_file(tmp_path, m))
+        stream, peak = traced_open(gnm_file(tmp_path, m, prefix, newline))
         assert stream.m == m
         itemsize = stream._u.itemsize
         assert itemsize == 2
         excess.append(peak - 2 * itemsize * m)
     assert max(excess) < 12 * core.BLOCK, excess
     assert excess[1] < excess[0] + core.BLOCK, excess  # does not grow with m
-
-
-def test_comment_led_file_scans_in_compact_arrays(tmp_path):
-    # one comment line sends the whole file to the line scan, which collects
-    # each pair's values and line in packed int64 arrays, not Python lists
-    m = 70_000
-    stream, peak = traced_open(gnm_file(tmp_path, m, prefix=b"# comment\n"))
-    assert stream.m == m
-    assert peak < 64 * m, peak / m
 
 
 def test_measure_max_degree():

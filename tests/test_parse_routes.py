@@ -1,16 +1,22 @@
 """The two routes of pair-file parsing give the same results and errors.
 
-``read_pairs`` tokenizes a plain file with numpy and hands every other file
-to the line scan, ``_scan_pairs``. A forced scan is the reference: on any
-input, ``open_stream`` (edge files, with a header) and ``read_coloring_file``
-(coloring files, without one) must give the same result on both routes, or
-raise the same error with the same message.
+``read_pairs`` reads a file once, front to back, in blocks: it tokenizes a
+plain block with numpy and hands any other block to the line scan,
+``_scan_block``, which carries the line number on. The reference is a
+forced scan of the whole file as one block: on any input, and at any block
+size, ``open_stream`` (edge files, with a header) and ``read_coloring_file``
+(coloring files, without one) must give the same result as the reference,
+or raise the same error with the same message. A pipe, which can be read
+only once, must give what the regular file gives.
 """
 
 from __future__ import annotations
 
+import os
 import tempfile
+import threading
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -46,7 +52,9 @@ def outcome(read, path: Path):
 
 
 def forced_scan(read, path: Path):
-    with mock.patch.object(core, "_parse_plain", lambda path, header: None):
+    """The reference: one line scan of the whole file, whatever ``BLOCK`` is."""
+    with mock.patch.object(core, "_plain_values", lambda block: None), \
+            mock.patch.object(core, "BLOCK", path.stat().st_size + 1):
         return outcome(read, path)
 
 
@@ -135,16 +143,24 @@ EDGE_CASES = [
     pytest.param(b"0 1\n1 2\n0 3\n2 2 2\n", False, False, "line 3: vertex 0 is colored twice",
                  id="colored-twice-then-garbage"),
     # a value too wide for the stored ids (uint16 at n 300, uint32 at n
-    # 70000) sends the file to the scan, which reports it as before; stored,
-    # 65541 and 2**32 would wrap to the valid ids 5 and 0
-    pytest.param(b"300 2\n0 299\n0 70000\n", True, False, "line 3: endpoint out of range [0, 300)",
+    # 70000) is checked as int64 before it is stored; stored, 65541 and 2**32
+    # would wrap to the valid ids 5 and 0
+    pytest.param(b"300 2\n0 299\n0 70000\n", True, True, "line 3: endpoint out of range [0, 300)",
                  id="beyond-uint16"),
-    pytest.param(b"300 1\n0 65541\n", True, False, "line 2: endpoint out of range [0, 300)",
+    pytest.param(b"300 1\n0 65541\n", True, True, "line 2: endpoint out of range [0, 300)",
                  id="beyond-uint16-wraps-into-range"),
-    pytest.param(b"70000 2\n69999 0\n4294967296 1\n", True, False,
+    pytest.param(b"70000 2\n69999 0\n4294967296 1\n", True, True,
                  "line 3: endpoint out of range [0, 70000)", id="beyond-uint32"),
-    pytest.param(b"300 2\n5 5\n0 70000\n", True, False, "line 2: self-loop at vertex 5",
+    pytest.param(b"300 2\n5 5\n0 70000\n", True, True, "line 2: self-loop at vertex 5",
                  id="self-loop-then-beyond-uint16"),
+    # lines that are not plain after several that are: in small blocks the
+    # scan takes over mid-file with the line number carried
+    pytest.param(b"4 5\n0 1\n1 2\n2 3\n# late comment\n0 2\n1 3\n", True, False, None,
+                 id="late-comment"),
+    pytest.param(b"4 5\n0 1\n1 2\n2 3\n\n0 2\n1 3\n", True, False, None, id="late-blank-line"),
+    pytest.param(b"4 5\n0 1\n1 2\n2 3\r\n0 2\n1 3\n", True, False, None, id="late-crlf"),
+    pytest.param(b"4 3\n# c\n0 1\n1 2\n2 2\n", True, False, "line 5: self-loop at vertex 2",
+                 id="self-loop-after-comment-block"),
 ]
 
 
@@ -152,7 +168,7 @@ EDGE_CASES = [
 def test_routes_agree_on_edge_cases(tmp_path, data, header, plain, error):
     path = tmp_path / "pairs.txt"
     path.write_bytes(data)
-    assert (core._parse_plain(path, header) is not None) == plain
+    assert (core._plain_values(data) is not None) == plain
     result = assert_same(data, header)
     if error is None:
         assert not isinstance(result[0], str), result
@@ -192,7 +208,7 @@ def test_routes_agree_at_id_width_limits(tmp_path, n):
     edges = [(n - 1, 0), (1, n - 1), (n - 2, n - 1), (0, 1), (n - 1, n // 2)]
     path = tmp_path / "g.txt"
     path.write_text(f"{n} {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges))
-    head, a, _, _, _ = core._parse_plain(path, True)
+    head, a, _ = core.read_pairs(path, True, lambda *args: None)
     assert head == (n, len(edges)) and a.dtype == core.id_dtype(n)
     expected = n, len(edges), [e[0] for e in edges], [e[1] for e in edges]
     assert assert_same(path.read_bytes()) == expected
@@ -201,7 +217,7 @@ def test_routes_agree_at_id_width_limits(tmp_path, n):
 
 def test_older_numpy_warning_takes_the_scan_route(tmp_path, monkeypatch):
     # numpy before 2 only warns about an unparsed tail; the warning must send
-    # the file to the scan, which gives the same stream
+    # the block to the scan, which gives the same stream
     path = tmp_path / "g.txt"
     path.write_bytes(b"4 2\n0 1\n2 3\n")
     expected = outcome(open_stream, path)
@@ -212,7 +228,7 @@ def test_older_numpy_warning_takes_the_scan_route(tmp_path, monkeypatch):
         return fromstring(*args, **kwargs)
 
     monkeypatch.setattr(np, "fromstring", warning_fromstring)
-    assert core._parse_plain(path, True) is None
+    assert core._plain_values(path.read_bytes()) is None
     assert outcome(open_stream, path) == expected
 
 
@@ -233,10 +249,10 @@ def test_gen_output_takes_the_vectorized_route(tmp_path, monkeypatch, gen_args):
     assert cli.main(["gen", *gen_args, "-o", str(path)]) == 0
     expected = forced_scan(open_stream, path)
 
-    def no_scan(path, header):
-        raise AssertionError(f"{path} fell back to the line scan")
+    def no_scan(block, line, want_header):
+        raise AssertionError(f"{path} fell back to the line scan at line {line}")
 
-    monkeypatch.setattr(core, "_scan_pairs", no_scan)
+    monkeypatch.setattr(core, "_scan_block", no_scan)
     assert outcome(open_stream, path) == expected
 
 
@@ -244,3 +260,88 @@ def test_gen_output_takes_the_vectorized_route(tmp_path, monkeypatch, gen_args):
 def test_gen_output_takes_the_vectorized_route_in_small_blocks(tmp_path, monkeypatch, block):
     monkeypatch.setattr(core, "BLOCK", block_bytes(block, b"300 2000\n"))  # GNM_ARGS's header
     test_gen_output_takes_the_vectorized_route(tmp_path, monkeypatch, GNM_ARGS)
+
+
+@contextmanager
+def fed_fifo(tmp_path, data: bytes, name: str = "pipe"):
+    """A FIFO that a writer thread feeds with data, once. A reader that opens
+    it a second time would wait for a writer forever, so after 30 s a
+    watchdog opens and closes the write end: that reader sees an empty file."""
+    path = tmp_path / name
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped at an error
+            pass
+
+    def release_reader():
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # no reader waits
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    watchdog = threading.Timer(30, release_reader)
+    writer.start()
+    watchdog.start()
+    try:
+        yield path
+    finally:
+        watchdog.cancel()
+        if writer.is_alive():  # unblock a writer whose reader never opened the FIFO
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def late_comment_file(lines: int) -> bytes:
+    """An edge file at n 1000 with a ``#`` line after its first half."""
+    pairs = [f"{i % 1000} {(i + 1 + i // 1000) % 1000}\n" for i in range(lines)]
+    half = lines // 2
+    return "".join([f"1000 {lines}\n", *pairs[:half], "# a late comment\n", *pairs[half:]]).encode()
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_fifo_reads_as_the_regular_file(tmp_path, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(core, "BLOCK", block)
+    data = late_comment_file(2 * core.BLOCK // 8 + 40)  # the comment is in a late block
+    regular = tmp_path / "g.txt"
+    regular.write_bytes(data)
+    expected = outcome(open_stream, regular)
+    assert expected[:2] == (1000, data.count(b"\n") - 2)
+    with fed_fifo(tmp_path, data) as fifo:
+        assert outcome(open_stream, fifo) == expected
+
+
+@pytest.mark.parametrize("data, error", [
+    pytest.param(b"4 2\n0 1\n1 x\n", "line 3: non-integer field", id="short"),
+    pytest.param(late_comment_file(40_000) + b"3 3\n", "line 40003: self-loop at vertex 3",
+                 id="late-self-loop"),
+    pytest.param(late_comment_file(40_000) + b"0 1 2\n",
+                 "line 40003: expected two whitespace-separated fields", id="late-three-fields"),
+])
+def test_fifo_reports_the_regular_files_error(tmp_path, data, error):
+    regular = tmp_path / "g.txt"
+    regular.write_bytes(data)
+    expected = outcome(open_stream, regular)
+    assert expected == ("StreamFormatError", error)
+    with fed_fifo(tmp_path, data) as fifo:
+        assert outcome(open_stream, fifo) == expected
+
+
+def test_verify_reads_either_file_from_a_fifo(tmp_path, capsys):
+    graph, coloring = tmp_path / "g.txt", tmp_path / "c.txt"
+    assert cli.main(["gen", *GNM_ARGS, "-o", str(graph)]) == 0
+    color = ["color-delta", "-i", str(graph), "--epsilon", "0.5", "--seed", "1"]
+    assert cli.main([*color, "-o", str(coloring)]) == 0
+    capsys.readouterr()
+    with fed_fifo(tmp_path, graph.read_bytes()) as fifo:
+        assert cli.main(["verify", "-i", str(fifo), "-c", str(coloring)]) == 0
+    assert capsys.readouterr().out == "proper\n"
+    with fed_fifo(tmp_path, coloring.read_bytes(), "coloring-pipe") as fifo:
+        assert cli.main(["verify", "-i", str(graph), "-c", str(fifo)]) == 0
+    assert capsys.readouterr().out == "proper\n"

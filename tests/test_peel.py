@@ -32,7 +32,7 @@ def make_partition(layer: list[int]) -> LayerPartition:
     # hand-built partitions for orientation tests; peel fields are dummies
     return LayerPartition(
         k=max(layer, default=0), layer=layer, threshold=2,
-        witnessed_degree=[0] * len(layer), passes=0,
+        witnessed_degree=[0] * len(layer),
     )
 
 
@@ -74,9 +74,10 @@ def test_max_rounds_bound_values():
 
 
 def test_star_peels_leaves_then_center():
-    lp = peel(EdgeStream.from_edges(6, STAR6_EDGES), alpha=1, gamma=0.5)
+    stream = EdgeStream.from_edges(6, STAR6_EDGES)
+    lp = peel(stream, alpha=1, gamma=0.5)
     assert lp.k == 2
-    assert lp.passes == 2
+    assert stream.pass_count == lp.k
     assert lp.layer == [2, 1, 1, 1, 1, 1]
     assert lp.witnessed_degree == [0, 1, 1, 1, 1, 1]
     assert lp.threshold == 2
@@ -93,11 +94,13 @@ def test_low_degree_graphs_peel_in_one_round():
 
 
 def test_edgeless_and_empty_vertex_sets():
-    lp = peel(EdgeStream.from_edges(4, []), alpha=1, gamma=0.5)
-    assert (lp.k, lp.passes) == (1, 1)
+    stream = EdgeStream.from_edges(4, [])
+    lp = peel(stream, alpha=1, gamma=0.5)
+    assert stream.pass_count == lp.k == 1
     assert lp.layer == [1, 1, 1, 1]
-    lp = peel(EdgeStream.from_edges(0, []), alpha=1, gamma=0.5)
-    assert (lp.k, lp.n, lp.passes) == (0, 0, 0)
+    stream = EdgeStream.from_edges(0, [])
+    lp = peel(stream, alpha=1, gamma=0.5)
+    assert stream.pass_count == lp.k == lp.n == 0
 
 
 def test_stall_on_first_round():
@@ -154,7 +157,7 @@ def test_certified_forest_union_round_count_and_forward_degree():
     lp = peel(stream, alpha=8, gamma=0.5)
     assert lp.k == 2
     assert lp.k <= max_rounds_bound(4096, 0.5) == 38
-    assert stream.pass_count == lp.passes == lp.k
+    assert stream.pass_count == lp.k
     assert measure_forward_degree(stream, lp) <= lp.threshold == 20
     assert stream.pass_count == lp.k + 1  # verification cost is visible
 
