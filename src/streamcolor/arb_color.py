@@ -2,13 +2,15 @@
 
 Derived knobs: eps' = eps/6 and gamma = eps/3. Vertices are split into
 ell = max(1, ceil((eps'/c) * ((2+gamma)*alpha) / log2 n)) random classes and
-only same-class edges are stored, each once as an int64 min*n+max code
-(sorting the codes drops repeats and swapped endpoints). Peeling runs on the
-full graph in parallel with collection, sharing pass 1, so the whole run
-costs exactly k passes.
+only same-class edges are stored, each once as a min*n+max code at
+id_dtype(n * n), 4 bytes up to n = 65536 (sorting the codes drops repeats
+and swapped endpoints). Peeling runs on the full graph in parallel with
+collection, sharing pass 1, so the whole run costs exactly k passes.
 Afterwards each class subgraph is colored offline against the peel
 orientation with a fresh palette of (max out-degree + 1) colors, giving
-total colors at most sum_i (out_i + 1).
+total colors at most sum_i (out_i + 1). The offline stage decodes the codes
+to ids at id_dtype(n) and orients them once; the out-degrees and the
+coloring both read that one orientation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdgeStream, distinct_sorted, pair_codes
+from .core import EdgeStream, id_dtype, pair_codes, run_firsts
 from .delta_color import DEFAULT_C, PhasePartition, validate_run_params
 from .oracle import Coloring
 from .peel import LayerPartition, PeelStalled, PeelState
@@ -49,17 +51,17 @@ def per_class_out_bound(n: int, eps_prime: float, c: float) -> float:
 def _orient_arrays(
     edges_u: np.ndarray, edges_v: np.ndarray, lp: LayerPartition
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tail and head of each edge, plus the per-vertex key layer*n + v.
+    """Tail and head of each edge, at the edges' dtype, plus the per-vertex
+    key layer*n + v at id_dtype((k + 1) * n), which holds the largest key.
 
     The integer key orders vertices as (layer, id) tuples would, and every edge
     points from its smaller-key endpoint to the larger.
     """
     n = lp.n
-    key = np.asarray(lp.layer, dtype=np.int64) * np.int64(n) + np.arange(n, dtype=np.int64)
-    u = np.asarray(edges_u, dtype=np.int64)
-    v = np.asarray(edges_v, dtype=np.int64)
-    forward = key[u] < key[v]
-    return np.where(forward, u, v), np.where(forward, v, u), key
+    key = np.asarray(lp.layer, dtype=np.int64) * n + np.arange(n, dtype=np.int64)
+    key = key.astype(id_dtype((lp.k + 1) * n))
+    forward = key[edges_u] < key[edges_v]
+    return np.where(forward, edges_u, edges_v), np.where(forward, edges_v, edges_u), key
 
 
 def offline_dag_color(
@@ -77,13 +79,23 @@ def offline_dag_color(
     a vertex's out-neighbors (all with larger keys) are colored already;
     avoiding them suffices because in-neighbors in turn avoid this vertex.
     """
-    n = lp.n
+    return _dag_color(*_orient_arrays(edges_u, edges_v, lp), class_of, out_degrees)
+
+
+def _dag_color(
+    tail: np.ndarray, head: np.ndarray, key: np.ndarray, class_of: np.ndarray, out_degrees
+) -> Coloring:
+    """``offline_dag_color`` on edges already oriented by ``_orient_arrays``."""
+    n = len(key)
     class_of = np.asarray(class_of, dtype=np.int64)
-    tail, head, key = _orient_arrays(edges_u, edges_v, lp)
-    # CSR by tail: the out-neighbors of v are heads[start[v]:start[v + 1]]
-    ids = np.arange(n).astype(object)  # one shared int per vertex, not one per entry
-    heads = ids[head[np.argsort(tail, kind="stable")]].tolist()
+    # CSR by tail: the out-neighbors of v are heads[start[v]:start[v + 1]], in
+    # any order, since only the set of their colors matters
     start = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=n)))).tolist()
+    by_tail = tail.astype(id_dtype(n * n)) * n + head
+    by_tail.sort()
+    heads = np.arange(n).astype(object)[by_tail % n]  # one shared int per vertex
+    del by_tail
+    heads = heads.tolist()
     widths = np.asarray(out_degrees, dtype=np.int64) + 1
     block_end = np.cumsum(widths)
     first = (block_end - widths)[class_of - 1].tolist()
@@ -134,17 +146,20 @@ def run_arboricity_coloring(
     ps = PeelState(n, alpha, cfg.gamma)
     before = stream.pass_count
     m = stream.m
-    codes = [np.empty(0, dtype=np.int64)]  # so an edgeless stream concatenates
+    code_dtype = id_dtype(n * n)  # holds every min*n+max
+    codes = [np.empty(0, dtype=code_dtype)]  # so an edgeless stream concatenates
     try:
         # pass 1 collects the same-class edges and counts peel round 1
         for u, v in stream.pass_chunks():
             same = part.same(u, v)
-            codes.append(pair_codes(u[same], v[same], n))
+            codes.append(pair_codes(u[same], v[same], n).astype(code_dtype))
             ps.consume(u, v)
         # one min*n+max code per stored edge, so repeats and swapped
-        # endpoints are stored once
-        stored = distinct_sorted(np.concatenate(codes))
+        # endpoints are stored once: sort in place, keep each run's first
+        stored = np.concatenate(codes)
         del codes
+        stored.sort()
+        stored = stored[run_firsts(stored)]
         peak_stored_edges = len(stored)
         ps.finish_round()
         while ps.active_count:
@@ -157,10 +172,12 @@ def run_arboricity_coloring(
         )
         raise
     lp = ps.partition()
-    su, sv = np.divmod(stored, n)
-    del stored  # su and sv hold the edges now; free the codes before the offline stage
-    out_degrees = out_degree_profile(su, sv, lp, part).tolist()
-    coloring = offline_dag_color(su, sv, lp, part.class_of, out_degrees)
+    width = id_dtype(n)
+    tail, head, key = _orient_arrays((stored // n).astype(width), (stored % n).astype(width), lp)
+    del stored  # tail and head hold the edges now; free the codes before the offline stage
+    # every stored edge is same-class, so a vertex's stored out-edges are its class out-degree
+    out_degrees = part.class_max(np.bincount(tail, minlength=n)).tolist()
+    coloring = _dag_color(tail, head, key, part.class_of, out_degrees)
     metrics = ArbRunMetrics(
         n=n, m=m, ell=cfg.ell, k=lp.k, passes=stream.pass_count - before,
         colors_used=coloring.colors_used, per_class_out_degree=out_degrees,
@@ -176,8 +193,8 @@ def out_degree_profile(
 
     Orientation and layers are fixed by the graph; only the class draw is
     random, so concentration sweeps evaluate this on the stream's edges
-    without a run. Each edge counts once per occurrence; the run passes its
-    deduplicated stored edges to get ArbRunMetrics.per_class_out_degree.
+    without a run. Each edge counts once per occurrence; on the run's
+    deduplicated stored edges it gives ArbRunMetrics.per_class_out_degree.
     """
     tail, head, _ = _orient_arrays(edges_u, edges_v, lp)
     outdeg = np.bincount(tail[partition.same(tail, head)], minlength=partition.n)

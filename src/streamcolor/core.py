@@ -15,7 +15,13 @@ deduplicate, so the ``delta`` and ``alpha`` bounds a run is given must bound
 the multigraph. Stored edges are deduplicated by their ``pair_codes``, and
 the oracles' adjacency keeps each neighbor once; that only saves space and
 leaves every guarantee intact. ``first_occurrences`` and ``distinct_sorted``
-are the one dedup idiom: a sort and a neighbour compare.
+are the one dedup idiom: a sort and a neighbour compare, ``run_firsts``.
+
+Vertex ids stay at ``id_dtype(n)`` from the file to the stored edges: the
+stream keeps them at that width, a pass yields views of them, and a stored
+pair code takes ``id_dtype(n * n)``. ``pair_codes`` is the one place that
+widens, since ``min * n`` would wrap at id width; indexing, compares and
+``bincount`` work at any width.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import array
 import io
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +42,7 @@ _INT64_MAX = 2**63 - 1
 BLOCK = 1 << 17  # bytes per block of read_pairs
 _CHECK_SLICE = 1 << 16  # pairs per slice of check_edges
 MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max fits
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what "surrogateescape" makes of a bad byte
 
 
 class StreamFormatError(ValueError):
@@ -72,7 +80,7 @@ class EdgeStream:
 
     The endpoints are kept at ``id_dtype(n)``, 1 to 8 bytes per id, so they
     must already pass ``check_edges``: an id beyond the width would wrap.
-    Every chunk a pass yields is int64 whatever the width.
+    The chunks a pass yields are views at that width.
     """
 
     def __init__(self, n: int, u: np.ndarray, v: np.ndarray):
@@ -80,6 +88,7 @@ class EdgeStream:
         dtype = id_dtype(self.n)
         self._u = u.astype(dtype, copy=False)
         self._v = v.astype(dtype, copy=False)
+        self._u.flags.writeable = self._v.flags.writeable = False  # a pass yields views
         self.pass_count = 0
 
     @classmethod
@@ -102,17 +111,16 @@ class EdgeStream:
         return len(self._u)
 
     def pass_chunks(self, chunk_size: int = 1 << 16) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """One full traversal, as consecutive (u, v) int64 array chunks in
-        stream order. This is the only way to read the stream.
+        """One full traversal, as consecutive (u, v) array chunks in stream
+        order. This is the only way to read the stream.
 
-        Each chunk is widened to int64 whatever the stored width, since
-        consumers compute with ids (``pair_codes``' ``min * n``) in the
-        chunk's own dtype, where a narrow one would wrap."""
+        Each chunk is a read-only view of the stored ids at ``id_dtype(n)``,
+        not a copy: a consumer must widen before arithmetic that could wrap,
+        as ``pair_codes`` does."""
         self.pass_count += 1
         u, v = self._u, self._v
         for lo in range(0, len(u), chunk_size):
-            hi = lo + chunk_size
-            yield u[lo:hi].astype(np.int64, copy=False), v[lo:hi].astype(np.int64, copy=False)
+            yield u[lo : lo + chunk_size], v[lo : lo + chunk_size]
 
 
 def open_stream(source, n: int | None = None) -> EdgeStream:
@@ -195,8 +203,10 @@ def _block_pairs(block: bytes, line: int, want_header: bool):
     or None). The header is the block's first pair when ``want_header``."""
     vals = _plain_values(block)
     if vals is None:
-        # text mode's line ends: \n, \r\n or a lone \r
-        return _scan_block(io.StringIO(block.decode("utf-8"), newline=None), line, want_header)
+        # text mode's line ends: \n, \r\n or a lone \r; a byte that is not
+        # UTF-8 becomes a lone surrogate, which the scan reports on its line
+        text = block.decode("utf-8", "surrogateescape")
+        return _scan_block(io.StringIO(text, newline=None), line, want_header)
     end = line + len(vals) // 2
     if not want_header:
         return None, vals, range(line, end), end, None
@@ -205,9 +215,12 @@ def _block_pairs(block: bytes, line: int, want_header: bool):
 
 def _plain_values(block: bytes) -> np.ndarray | None:
     """The numbers of a block of whole plain lines, or None if it is not one:
-    only ``<digits> <digits>\\n`` lines, at most ``_MAX_DIGITS`` digits per
-    number, so that every value fits in int64. Comments, blank lines, signs,
-    tabs and CRLF are left to ``_scan_block``."""
+    only ``<digits> <digits>`` lines, each ending in ``\\n`` or ``\\r\\n``,
+    at most ``_MAX_DIGITS`` digits per number, so that every value fits in
+    int64. Comments, blank lines, signs, tabs and a lone ``\\r`` are left
+    to ``_scan_block``."""
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")  # each line keeps its number
     buf = np.frombuffer(block, dtype=np.uint8)
     if buf[-1] != ord("\n"):
         return None
@@ -238,12 +251,14 @@ def _resized(arr: np.ndarray, count: int, size: int) -> np.ndarray:
 
 def _scan_block(block: io.StringIO, line: int, want_header: bool):
     """``_block_pairs`` by a line scan: skips blank and ``#`` lines and only
-    tokenizes, stopping at the first line without two integers, with a
-    negative header value or with a pair value beyond int64."""
+    tokenizes, stopping at the first line that is not UTF-8, has no two
+    integers, a negative header value or a pair value beyond int64."""
     head, vals, lines, error = None, array.array("q"), array.array("q"), None
     line_no = line - 1
     try:
         for line_no, raw in enumerate(block, start=line):
+            if not raw.isascii() and _NOT_UTF8.search(raw):
+                raise StreamFormatError("not UTF-8 text", line_no)
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue
@@ -283,17 +298,19 @@ def measure_max_degree(stream: EdgeStream) -> int:
 
 
 def pair_codes(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """One int64 code ``min*n+max`` per edge, equal for either endpoint order."""
+    """One int64 code ``min*n+max`` per edge, equal for either endpoint order.
+    Ids of any width go in; the product is taken in int64, so it never wraps."""
     if n > MAX_PAIR_N:
         raise ValueError(f"pair codes need n <= {MAX_PAIR_N}, so that they fit in int64")
-    return np.minimum(u, v) * n + np.maximum(u, v)
+    return np.minimum(u, v).astype(np.int64, copy=False) * n + np.maximum(u, v)
 
 
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values in a sorted array."""
-    if len(ordered) == 0:
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+def run_firsts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in a sorted
+    array, 1 byte per element: the neighbour compare of every dedup here."""
+    firsts = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=firsts[1:])
+    return firsts
 
 
 def first_occurrences(codes: np.ndarray) -> np.ndarray:
@@ -304,7 +321,7 @@ def first_occurrences(codes: np.ndarray) -> np.ndarray:
     group is its first occurrence.
     """
     order = np.argsort(codes)
-    first = np.minimum.reduceat(order, _run_starts(codes[order]))
+    first = np.minimum.reduceat(order, np.flatnonzero(run_firsts(codes[order])))
     first.sort()
     return first
 
@@ -313,7 +330,8 @@ def distinct_sorted(codes: np.ndarray, return_counts: bool = False):
     """numpy's ``unique(codes)``, and its ``return_counts``, by a sort and a
     neighbour compare; numpy 2 may take a slower hash path for that call."""
     ordered = np.sort(codes)
-    starts = _run_starts(ordered)
+    firsts = run_firsts(ordered)
     if return_counts:
+        starts = np.flatnonzero(firsts)
         return ordered[starts], np.diff(starts, append=len(ordered))
-    return ordered[starts]
+    return ordered[firsts]

@@ -5,10 +5,10 @@ disjoint slot palette of size r. Cross-class edges are discarded on arrival.
 Same-class edges are stored, each pair once, and when the endpoints currently
 share a slot the first-listed endpoint moves to the smallest slot not held by
 any of its stored same-class neighbors. run_delta_coloring's one pass only
-collects the same-class edges into two int64 arrays; replay() then decides
-them in stream order, so every decision is the one made on arrival. If no
-slot is free the run aborts; there is no retry, the caller reruns with a
-fresh seed or a larger budget.
+collects the same-class edges into two arrays at the stream's id width;
+replay() then decides them in stream order, so every decision is the one
+made on arrival. If no slot is free the run aborts; there is no retry, the
+caller reruns with a fresh seed or a larger budget.
 
 ell = max(1, ceil(eps * Delta / (2 * c * log2 n)))
 r   = ceil((1 + 2/eps) * c * log2 n) + 1
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EdgeStream, first_occurrences, pair_codes
+from .core import EdgeStream, first_occurrences, id_dtype, pair_codes
 from .oracle import Coloring
 from .seeding import PHASE1, rng_for
 
@@ -148,7 +148,7 @@ def replay(
     None; after such a stop, slots and degrees are those at the stop.
     """
     first = np.zeros(len(u), dtype=bool)
-    first[first_occurrences(pair_codes(u, v, n))] = True
+    first[first_occurrences(pair_codes(u, v, n).astype(id_dtype(n * n)))] = True
     degree = np.bincount(u[first], minlength=n) + np.bincount(v[first], minlength=n)
     start = (np.cumsum(degree) - degree).tolist()
     fill = list(start)
@@ -198,8 +198,10 @@ def run_delta_coloring(
     n = stream.n
     part, r = build_phase1(n, delta, epsilon, c, seed)
     before = stream.pass_count
-    # same-class occurrences, 16 B each; palettes are disjoint, so no other edge conflicts
-    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    # same-class occurrences at id width, 4 B each at n = 8192; palettes are
+    # disjoint, so no other edge conflicts
+    width = id_dtype(n)
+    us, vs = [np.empty(0, dtype=width)], [np.empty(0, dtype=width)]
     for u, v in stream.pass_chunks():
         same = part.same(u, v)
         us.append(u[same])

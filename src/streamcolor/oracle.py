@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_PAIR_N, EdgeStream, distinct_sorted, first_occurrences, pair_codes
+from .core import MAX_PAIR_N, EdgeStream, distinct_sorted, first_occurrences, id_dtype, pair_codes
 
 
 @dataclass
@@ -74,9 +74,9 @@ def verify_proper(stream: EdgeStream, coloring: Coloring) -> list[tuple[int, int
     col = coloring.assignment
     if len(col) != n:
         raise ValueError(f"coloring missing a vertex: has {len(col)} entries for n={n}")
-    # dense color ids, so colors of any size compare as int64
+    # dense color ids, below n, so colors of any size compare at id width
     ids: dict[int, int] = {}
-    code = np.fromiter((ids.setdefault(c, len(ids)) for c in col), dtype=np.int64, count=n)
+    code = np.fromiter((ids.setdefault(c, len(ids)) for c in col), dtype=id_dtype(n), count=n)
     found = [np.empty(0, dtype=np.int64)]
     for u, v in stream.pass_chunks():
         same = code[u] == code[v]

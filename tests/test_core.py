@@ -244,10 +244,22 @@ def test_from_edges_rejects_endpoint_beyond_int64():
         EdgeStream.from_edges(4, [(-(2**64), 1)])
 
 
-def test_stream_arrays_are_int64():
+def test_stream_chunks_are_at_id_width():
     s = EdgeStream.from_edges(4, np.asarray(K4_EDGES, dtype=np.int32))
     for u, v in s.pass_chunks():
-        assert u.dtype == np.int64 and v.dtype == np.int64
+        assert u.dtype == core.id_dtype(4) and v.dtype == core.id_dtype(4)
+
+
+@pytest.mark.parametrize("n", [4, 2**32 + 1])
+def test_stream_chunks_are_read_only_views(n):
+    # a chunk is a view of the stream's ids, so a write would change the
+    # stream for every later pass
+    s = EdgeStream.from_edges(n, K4_EDGES)
+    u, v = next(s.pass_chunks())
+    for chunk in (u, v):
+        with pytest.raises(ValueError, match="read-only"):
+            chunk[0] = 3
+    assert one_pass(s) == K4_EDGES
 
 
 @pytest.mark.parametrize(
@@ -260,15 +272,15 @@ def test_id_dtype_is_the_narrowest_that_holds_n_minus_1(n, dtype):
 
 
 @pytest.mark.parametrize("n", [256, 257, 65537, MAX_PAIR_N, 2**32 + 1])
-def test_narrow_stream_chunks_are_int64(n):
-    # the ids are stored narrow and widened per chunk, so a consumer's
-    # arithmetic, such as pair_codes' min * n, never wraps
+def test_narrow_stream_chunks_keep_id_width_and_pair_codes_stay_exact(n):
+    # the chunks are views of the narrow ids; pair_codes widens before its
+    # min * n, so the codes next to n - 1 are exact at every width
     edges = [(n - 1, 0), (0, n - 1), (n - 2, n - 1), (1, 2), (n - 1, 1), (n - 3, 3), (5, 6)] * 3
     s = EdgeStream.from_edges(n, edges)
     assert s._u.dtype == core.id_dtype(n)
     for chunk_size in (1, 7, 1 << 16):
         chunks = list(s.pass_chunks(chunk_size=chunk_size))
-        assert all(u.dtype == np.int64 and v.dtype == np.int64 for u, v in chunks)
+        assert all(u.dtype == core.id_dtype(n) and v.dtype == core.id_dtype(n) for u, v in chunks)
         u = np.concatenate([c[0] for c in chunks])
         v = np.concatenate([c[1] for c in chunks])
         assert list(zip(u.tolist(), v.tolist())) == edges

@@ -45,9 +45,10 @@ def outcome(read, path: Path):
     if isinstance(result, Coloring):
         return result.assignment, result.palette_size
     chunks = list(result.pass_chunks())
-    u = np.concatenate([c[0] for c in chunks]) if chunks else np.zeros(0, np.int64)
-    v = np.concatenate([c[1] for c in chunks]) if chunks else np.zeros(0, np.int64)
-    assert u.dtype == np.int64 and v.dtype == np.int64
+    width = core.id_dtype(result.n)
+    u = np.concatenate([c[0] for c in chunks]) if chunks else np.zeros(0, width)
+    v = np.concatenate([c[1] for c in chunks]) if chunks else np.zeros(0, width)
+    assert u.dtype == width and v.dtype == width
     return result.n, result.m, u.tolist(), v.tolist()
 
 
@@ -114,7 +115,15 @@ DEEP_SELF_LOOP = b"1000 1000\n" + b"".join(
 
 EDGE_CASES = [
     pytest.param(b"4 2\n0 1\n2 3", True, False, None, id="no-final-newline"),
-    pytest.param(b"4 2\r\n0 1\r\n2 3\r\n", True, False, None, id="crlf"),
+    # CRLF lines are plain, alone or mixed with LF ones: each line still
+    # holds one pair, so the line numbers are those of the scan
+    pytest.param(b"4 2\r\n0 1\r\n2 3\r\n", True, True, None, id="crlf"),
+    pytest.param(b"4 3\r\n0 1\r\n1 2\r\n2 2\r\n", True, True, "line 4: self-loop at vertex 2",
+                 id="crlf-self-loop"),
+    pytest.param(b"4 5\n0 1\n1 2\n2 3\r\n0 2\n1 3\n", True, True, None, id="late-crlf"),
+    pytest.param(b"4 2\r0 1\r2 3\n", True, False, None, id="lone-cr"),
+    pytest.param(b"4 2\r\n0 1\r\r\n2 3\r\n", True, False, None, id="cr-cr-lf"),
+    pytest.param(b"4 2\r\n0 1\r\n12\r3\n", True, False, "line 3: expected two", id="cr-in-a-line"),
     pytest.param(b"4 2\n0\t1\n2 3\n", True, False, None, id="tab"),
     pytest.param(b"0004 02\n00 01\n2 003\n", True, True, None, id="leading-zeros"),
     pytest.param(b"4 1\n0 1000000000000000000\n", True, False, "line 2: endpoint out of range",
@@ -158,9 +167,19 @@ EDGE_CASES = [
     pytest.param(b"4 5\n0 1\n1 2\n2 3\n# late comment\n0 2\n1 3\n", True, False, None,
                  id="late-comment"),
     pytest.param(b"4 5\n0 1\n1 2\n2 3\n\n0 2\n1 3\n", True, False, None, id="late-blank-line"),
-    pytest.param(b"4 5\n0 1\n1 2\n2 3\r\n0 2\n1 3\n", True, False, None, id="late-crlf"),
+    pytest.param(b"4 5\n0 1\n1 2\n2 3\r0 2\n1 3\n", True, False, None, id="late-lone-cr"),
     pytest.param(b"4 3\n# c\n0 1\n1 2\n2 2\n", True, False, "line 5: self-loop at vertex 2",
                  id="self-loop-after-comment-block"),
+    # a byte that is not UTF-8 is a format error on its own line, after the
+    # errors of the lines before it
+    pytest.param(b"4 2\n0 1\n1 2\n0 0\n\xff\n", True, False, "line 4: self-loop at vertex 0",
+                 id="self-loop-then-not-utf8"),
+    pytest.param(b"4 2\n0 1\n\xff\n1 2\n", True, False, "line 3: not UTF-8 text",
+                 id="not-utf8-byte"),
+    pytest.param(b"4 1\n# caf\xe9\n0 1\n", True, False, "line 2: not UTF-8 text",
+                 id="not-utf8-comment"),
+    pytest.param(b"0 1\n1 2\xff\n", False, False, "line 2: not UTF-8 text",
+                 id="not-utf8-coloring"),
 ]
 
 
