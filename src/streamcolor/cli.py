@@ -34,20 +34,86 @@ from .sweep import expand_spec, run_sweep
 
 
 WRITE_CHUNK = 1 << 16  # pairs formatted per call
+_LIMB = 10_000  # values are written as base-10**4 limbs of 4 ASCII digits
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # a value's digit count is 1 + how many it reaches
+
+
+def _keep_rows(width: int) -> np.ndarray:
+    """Row ``d - 1`` marks the last ``d`` digits and the separator of a
+    ``width``-byte value row: the bytes kept of a ``d``-digit value."""
+    return np.arange(width) >= width - 2 - np.arange(len(_POW10) + 1)[:, None]
+
+
+@functools.cache  # about 1 ms; built on the first write, not at import
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(quad, last, keep)``, indexed by a limb ``i`` in ``[0, 10**4)``.
+
+    ``quad[i]`` is ``i`` as 4 zero-padded ASCII digits. ``last[2i]`` is those
+    digits and a space, ``last[2i + 1]`` those digits and a newline: the
+    lowest limb's row, which also ends the value. ``keep[i]`` marks the bytes
+    of ``last`` that remain once ``i``'s leading zeros are dropped.
+    """
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    grid = np.meshgrid(digit, digit, digit, digit, indexing="ij")  # grid[k]: digit k of 0000-9999
+    quad = np.stack(grid, axis=-1).reshape(_LIMB, 4)
+    last = np.empty((2 * _LIMB, 5), dtype=np.uint8)
+    last[:, :4] = np.repeat(quad, 2, axis=0)
+    last[0::2, 4] = ord(" ")
+    last[1::2, 4] = ord("\n")
+    keep = np.take(_keep_rows(5), np.searchsorted(_POW10, np.arange(_LIMB), side="right"), axis=0)
+    return quad, last, keep
+
+
+def _pair_bytes(chunk: np.ndarray) -> np.ndarray:
+    """The lines ``f"{a} {b}\\n"`` of the rows of ``chunk`` (non-negative
+    int64), as one uint8 array.
+
+    Each value is laid out as a fixed-width row of its limbs, each limb
+    gathered from a digit table, and the leading zeros are then dropped by a
+    boolean keep mask.
+    """
+    quad, last, keep = _digit_tables()
+    vals = chunk.ravel()
+    limbs = 1 + int(np.searchsorted(_POW10[3::4], vals.max(), side="right"))
+    if limbs == 1:
+        return np.take(last, _last_rows(vals), axis=0)[np.take(keep, vals, axis=0)]
+    width = 4 * limbs + 1
+    out = np.empty((len(vals), width), dtype=np.uint8)
+    rest = vals // _LIMB
+    out[:, -5:] = np.take(last, _last_rows(vals - rest * _LIMB), axis=0)
+    for lo in range(width - 9, 0, -4):  # the middle limbs, right to left
+        higher = rest // _LIMB
+        out[:, lo : lo + 4] = np.take(quad, rest - higher * _LIMB, axis=0)
+        rest = higher
+    out[:, :4] = np.take(quad, rest, axis=0)  # the top limb, below 10**4 by the choice of limbs
+    return out[np.take(_keep_rows(width), np.searchsorted(_POW10, vals, side="right"), axis=0)]
+
+
+def _last_rows(low: np.ndarray) -> np.ndarray:
+    """The rows of ``last`` for a chunk's lowest limbs: the second value of
+    each pair ends its line."""
+    row = low * 2
+    row[1::2] += 1
+    return row
 
 
 def write_pairs(path: str, pairs, header: str = "") -> None:
     """Write ``header``, then one ``<a> <b>`` line per row of ``pairs``.
 
-    Each chunk of rows is formatted by a single ``%`` over a flat tuple, so the
-    per-line work stays in C; the bytes equal ``f"{a} {b}\\n"`` per row.
+    The values must be non-negative int64; a negative one raises
+    ``ValueError`` before the file is opened. The bytes equal
+    ``f"{a} {b}\\n"`` per row. Rows are formatted ``WRITE_CHUNK`` at a time by
+    table gathers in numpy (``_pair_bytes``), so the scratch is a few chunks
+    whatever the row count.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
+    low = pairs.min(initial=0)
+    if low < 0:
+        raise ValueError(f"cannot write the negative value {low} to {path}")
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
         for lo in range(0, len(pairs), WRITE_CHUNK):
-            chunk = pairs[lo : lo + WRITE_CHUNK]
-            fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+            fh.write(_pair_bytes(pairs[lo : lo + WRITE_CHUNK]))
 
 
 def _indexed(values) -> np.ndarray:

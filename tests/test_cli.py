@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from streamcolor import cli
 from streamcolor.cli import WRITE_CHUNK, main, read_coloring_file, write_pairs
+from streamcolor.corpus import GenSpec, generate
 
 K4_FILE = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -66,6 +71,9 @@ def test_gen_rejects_gnm_without_m(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+INT64_MAX = 2**63 - 1
+
+
 def reference_pair_bytes(pairs, header: str = "") -> bytes:
     return (header + "".join(f"{a} {b}\n" for a, b in pairs)).encode()
 
@@ -80,14 +88,100 @@ def test_write_pairs_matches_fstring_lines(tmp_path, rows):
 
 
 def test_write_pairs_digit_widths(tmp_path):
-    # endpoints of every width from 1 to 18 digits, and 0
-    values = [0] + [10**d - 1 for d in range(1, 19)] + [10**d for d in range(18)]
+    # endpoints of every width from 1 to 18 digits, 0 and 2**63 - 1 (19 digits)
+    values = [0] + [10**d - 1 for d in range(1, 19)] + [10**d for d in range(18)] + [INT64_MAX]
     pairs = list(zip(values, reversed(values)))
     path = tmp_path / "pairs.txt"
     write_pairs(str(path), pairs)
     assert path.read_bytes() == reference_pair_bytes(pairs)
     write_pairs(str(path), [], header="0 0\n")
     assert path.read_bytes() == b"0 0\n"
+
+
+# the smallest and largest value of each digit width from 1 to 19
+WIDTH_LOW = np.array([0] + [10 ** (d - 1) for d in range(2, 20)], dtype=np.int64)
+WIDTH_HIGH = np.array([10**d - 1 for d in range(1, 19)] + [INT64_MAX], dtype=np.int64)
+EDGE_VALUES = [0, INT64_MAX] + [10**d + k for d in range(1, 19) for k in (-1, 0, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.one_of(
+        st.integers(0, 40),
+        st.integers(WRITE_CHUNK - 3, WRITE_CHUNK + 3),
+        st.integers(2 * WRITE_CHUNK - 1, 2 * WRITE_CHUNK + 1),
+    ),
+    tops=st.lists(st.sampled_from(range(1, 20)), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    placed=st.lists(
+        st.tuples(st.integers(0, 2**31), st.sampled_from(EDGE_VALUES) | st.integers(0, INT64_MAX)),
+        max_size=6,
+    ),
+)
+def test_write_pairs_matches_reference_on_every_digit_width(
+    tmp_path_factory, rows, tops, seed, placed
+):
+    # the values of chunk c have 1 to tops[c] digits, so the chunks differ in
+    # their limb count; chosen values (the limits of each width among them)
+    # are put at drawn places
+    rng = np.random.default_rng(seed)
+    top = np.repeat(tops, 2 * WRITE_CHUNK)[: 2 * rows]
+    width = rng.integers(1, top, endpoint=True)
+    values = rng.integers(WIDTH_LOW[width - 1], WIDTH_HIGH[width - 1], endpoint=True)
+    for at, value in placed if rows else ():
+        values[at % len(values)] = value
+    pairs = values.reshape(-1, 2)
+    path = tmp_path_factory.mktemp("pairs") / "pairs.txt"
+    write_pairs(str(path), pairs, header=f"{rows}\n")
+    assert path.read_bytes() == reference_pair_bytes(pairs.tolist(), f"{rows}\n")
+
+
+def test_gen_writes_five_digit_ids_as_the_reference(tmp_path):
+    # n 70000 gives ids of 1 to 5 digits, so the writer takes two limbs
+    out = tmp_path / "wide.txt"
+    assert main(["gen", "--family", "gnm", "--n", "70000", "--m", "3000",
+                 "--seed", "3", "-o", str(out)]) == 0
+    edges, meta = generate(GenSpec(family="gnm", n=70000, m=3000, seed=3))
+    assert edges.max() >= 10**4
+    assert out.read_bytes() == reference_pair_bytes(edges.tolist(), f"{meta.n} {meta.m}\n")
+
+
+def test_negative_value_is_an_input_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "pairs.txt"
+    with pytest.raises(ValueError, match="negative value -1"):
+        write_pairs(str(path), [(0, 1), (2, -1)])
+    assert not path.exists()  # refused before the file is opened
+
+    def generate_negative(spec):
+        edges, meta = generate(spec)
+        edges[-1, 0] = -5
+        return edges, meta
+
+    monkeypatch.setattr(cli, "generate", generate_negative)
+    out = tmp_path / "k4.txt"
+    assert main(["gen", "--family", "complete", "--n", "4", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write the negative value -5")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("high", [10**4, INT64_MAX], ids=["one-limb", "five-limbs"])
+def test_write_pairs_scratch_is_bounded_by_chunks(tmp_path, high):
+    # tracemalloc sees numpy's buffers: beyond its input the writer holds
+    # the scratch of a chunk or two, so 4x the rows adds nothing
+    def traced_peak(rows):
+        pairs = np.random.default_rng(rows).integers(0, high, size=(rows, 2))
+        cli._digit_tables()  # the tables are built once per process, not per write
+        tracemalloc.start()
+        try:
+            write_pairs(str(tmp_path / "pairs.txt"), pairs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = traced_peak(2 * WRITE_CHUNK)
+    large = traced_peak(8 * WRITE_CHUNK)
+    assert large < small + (1 << 16)
+    assert large < 96 * 2 * WRITE_CHUNK  # 96 bytes per value of one chunk
 
 
 def test_maxdeg(k4_path, capsys):
