@@ -65,51 +65,41 @@ def _orient_arrays(
 
 
 def offline_dag_color(
-    edges_u: np.ndarray,
-    edges_v: np.ndarray,
-    lp: LayerPartition,
-    class_of: np.ndarray,
-    out_degrees: list[int],
-) -> Coloring:
-    """First-free coloring of every vertex against the (layer, id) orientation.
+    tail: np.ndarray, head: np.ndarray, key: np.ndarray, part: PhasePartition
+) -> tuple[Coloring, list[int]]:
+    """First-free coloring of every vertex against an orientation, and the
+    per-class max out-degrees that size its palettes.
 
-    The edges must be distinct and join same-class endpoints. Class i
-    (1-based) owns a block of out_degrees[i-1] + 1 colors; the blocks are
-    laid end to end from 0. Vertices are visited in decreasing key order, so
-    a vertex's out-neighbors (all with larger keys) are colored already;
-    avoiding them suffices because in-neighbors in turn avoid this vertex.
+    The edges come as ``_orient_arrays`` gives them: distinct, each pointing
+    from tail to head, and joining endpoints of one class of ``part``, so a
+    vertex's out-edges here are its class out-degree. Class i (1-based) owns
+    a block of (its max out-degree + 1) colors; the blocks are laid end to
+    end from 0. Vertices are visited in decreasing key order, so a vertex's
+    out-neighbors (all with larger keys) are colored already; avoiding them
+    suffices because in-neighbors in turn avoid this vertex.
     """
-    return _dag_color(*_orient_arrays(edges_u, edges_v, lp), class_of, out_degrees)
-
-
-def _dag_color(
-    tail: np.ndarray, head: np.ndarray, key: np.ndarray, class_of: np.ndarray, out_degrees
-) -> Coloring:
-    """``offline_dag_color`` on edges already oriented by ``_orient_arrays``."""
     n = len(key)
-    class_of = np.asarray(class_of, dtype=np.int64)
+    out = np.bincount(tail, minlength=n)
+    out_degrees = part.class_max(out)
     # CSR by tail: the out-neighbors of v are heads[start[v]:start[v + 1]], in
     # any order, since only the set of their colors matters
-    start = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=n)))).tolist()
+    start = np.concatenate(([0], np.cumsum(out))).tolist()
+    del out
     by_tail = tail.astype(id_dtype(n * n)) * n + head
     by_tail.sort()
     heads = np.arange(n).astype(object)[by_tail % n]  # one shared int per vertex
     del by_tail
     heads = heads.tolist()
-    widths = np.asarray(out_degrees, dtype=np.int64) + 1
-    block_end = np.cumsum(widths)
-    first = (block_end - widths)[class_of - 1].tolist()
-    limit = block_end[class_of - 1].tolist()
+    widths = out_degrees + 1
+    first = (np.cumsum(widths) - widths)[part.class_of - 1].tolist()
     assignment = [-1] * n
     for v in np.argsort(key)[::-1].tolist():
         used = {assignment[w] for w in heads[start[v] : start[v + 1]]}
         color = first[v]
         while color in used:
             color += 1
-        if color >= limit[v]:
-            raise AssertionError("palette too small for out-degree; cannot happen")
         assignment[v] = color
-    return Coloring(assignment=assignment, palette_size=int(widths.sum()))
+    return Coloring(assignment=assignment, palette_size=int(widths.sum())), out_degrees.tolist()
 
 
 @dataclass
@@ -146,13 +136,12 @@ def run_arboricity_coloring(
     ps = PeelState(n, alpha, cfg.gamma)
     before = stream.pass_count
     m = stream.m
-    code_dtype = id_dtype(n * n)  # holds every min*n+max
-    codes = [np.empty(0, dtype=code_dtype)]  # so an edgeless stream concatenates
+    codes = [np.empty(0, dtype=id_dtype(n * n))]  # so an edgeless stream concatenates
     try:
         # pass 1 collects the same-class edges and counts peel round 1
         for u, v in stream.pass_chunks():
             same = part.same(u, v)
-            codes.append(pair_codes(u[same], v[same], n).astype(code_dtype))
+            codes.append(pair_codes(u[same], v[same], n))
             ps.consume(u, v)
         # one min*n+max code per stored edge, so repeats and swapped
         # endpoints are stored once: sort in place, keep each run's first
@@ -175,9 +164,7 @@ def run_arboricity_coloring(
     width = id_dtype(n)
     tail, head, key = _orient_arrays((stored // n).astype(width), (stored % n).astype(width), lp)
     del stored  # tail and head hold the edges now; free the codes before the offline stage
-    # every stored edge is same-class, so a vertex's stored out-edges are its class out-degree
-    out_degrees = part.class_max(np.bincount(tail, minlength=n)).tolist()
-    coloring = _dag_color(tail, head, key, part.class_of, out_degrees)
+    coloring, out_degrees = offline_dag_color(tail, head, key, part)
     metrics = ArbRunMetrics(
         n=n, m=m, ell=cfg.ell, k=lp.k, passes=stream.pass_count - before,
         colors_used=coloring.colors_used, per_class_out_degree=out_degrees,

@@ -14,14 +14,16 @@ out-degrees) count every occurrence, since O(n) counters cannot
 deduplicate, so the ``delta`` and ``alpha`` bounds a run is given must bound
 the multigraph. Stored edges are deduplicated by their ``pair_codes``, and
 the oracles' adjacency keeps each neighbor once; that only saves space and
-leaves every guarantee intact. ``first_occurrences`` and ``distinct_sorted``
-are the one dedup idiom: a sort and a neighbour compare, ``run_firsts``.
+leaves every guarantee intact. The one dedup idiom is a sort and a
+neighbour compare, ``run_firsts``: ``first_occurrences`` keeps stream order,
+and a caller that needs no order sorts its codes in place and masks or
+counts the runs.
 
 Vertex ids stay at ``id_dtype(n)`` from the file to the stored edges: the
-stream keeps them at that width, a pass yields views of them, and a stored
-pair code takes ``id_dtype(n * n)``. ``pair_codes`` is the one place that
-widens, since ``min * n`` would wrap at id width; indexing, compares and
-``bincount`` work at any width.
+stream keeps them at that width, and a pass yields views of them.
+``pair_codes`` is the one place that widens, since ``min * n`` would wrap at
+id width, and it narrows again: its codes are at ``id_dtype(n * n)``.
+Indexing, compares and ``bincount`` work at any width.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import numpy as np
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
 _INT64_MAX = 2**63 - 1
 BLOCK = 1 << 17  # bytes per block of read_pairs
-_CHECK_SLICE = 1 << 16  # pairs per slice of check_edges
 MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max fits
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what "surrogateescape" makes of a bad byte
 
@@ -123,38 +124,32 @@ class EdgeStream:
             yield u[lo : lo + chunk_size], v[lo : lo + chunk_size]
 
 
-def open_stream(source, n: int | None = None) -> EdgeStream:
-    """Open an edge stream from a file path or an in-memory edge list.
+def open_stream(path) -> EdgeStream:
+    """Open an edge stream from a file path; ``EdgeStream.from_edges`` wraps
+    an in-memory edge list.
 
     File format: first non-comment line is ``<n> <m>`` (m may be 0 when
     unknown), then one ``<u> <v>`` edge per line; ``#`` starts a comment.
     Parsing validates eagerly and reports the offending line; the validation
     read is part of opening and does not count as a pass.
     """
-    if isinstance(source, (str, Path)):
-        (n, declared_m), u, v = read_pairs(
-            Path(source), True, lambda head, u, v, lines: check_edges(head[0], u, v, lines)
-        )
-        if declared_m and len(u) != declared_m:
-            raise StreamFormatError(f"header declares m={declared_m} but file has {len(u)} edges")
-        return EdgeStream(n, u, v)
-    if n is None:
-        raise ValueError("in-memory streams need an explicit vertex count n")
-    return EdgeStream.from_edges(n, source)
+    (n, declared_m), u, v = read_pairs(
+        Path(path), True, lambda head, u, v, lines: check_edges(head[0], u, v, lines)
+    )
+    if declared_m and len(u) != declared_m:
+        raise StreamFormatError(f"header declares m={declared_m} but file has {len(u)} edges")
+    return EdgeStream(n, u, v)
 
 
 def check_edges(n: int, u: np.ndarray, v: np.ndarray, lines: Sequence[int] | None = None) -> None:
     """Raise StreamFormatError for the first self-loop or endpoint outside
-    [0, n), citing ``lines[i]`` as the line of pair i when lines are given.
-    Checks ``_CHECK_SLICE`` pairs at a time, so its scratch does not grow with m."""
-    for lo in range(0, len(u), _CHECK_SLICE):
-        a, b = u[lo : lo + _CHECK_SLICE], v[lo : lo + _CHECK_SLICE]
-        bad = (a == b) | (a < 0) | (b < 0) | (a >= n) | (b >= n)
-        if bad.any():
-            i = lo + int(bad.argmax())
-            loop = u[i] == v[i]
-            message = f"self-loop at vertex {u[i]}" if loop else f"endpoint out of range [0, {n})"
-            raise StreamFormatError(message, None if lines is None else lines[i])
+    [0, n), citing ``lines[i]`` as the line of pair i when lines are given."""
+    bad = (u == v) | (u < 0) | (v < 0) | (u >= n) | (v >= n)
+    if bad.any():
+        i = int(bad.argmax())
+        loop = u[i] == v[i]
+        message = f"self-loop at vertex {u[i]}" if loop else f"endpoint out of range [0, {n})"
+        raise StreamFormatError(message, None if lines is None else lines[i])
 
 
 def read_pairs(path: Path, header: bool, check: Callable[..., None]):
@@ -298,11 +293,13 @@ def measure_max_degree(stream: EdgeStream) -> int:
 
 
 def pair_codes(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """One int64 code ``min*n+max`` per edge, equal for either endpoint order.
-    Ids of any width go in; the product is taken in int64, so it never wraps."""
+    """One code ``min*n+max`` per edge, equal for either endpoint order, at
+    ``id_dtype(n * n)``, which holds every code of ids in [0, n). Ids of any
+    width go in; the product is taken in int64, so it never wraps."""
     if n > MAX_PAIR_N:
         raise ValueError(f"pair codes need n <= {MAX_PAIR_N}, so that they fit in int64")
-    return np.minimum(u, v).astype(np.int64, copy=False) * n + np.maximum(u, v)
+    codes = np.minimum(u, v).astype(np.int64, copy=False) * n + np.maximum(u, v)
+    return codes.astype(id_dtype(n * n), copy=False)
 
 
 def run_firsts(ordered: np.ndarray) -> np.ndarray:
@@ -324,14 +321,3 @@ def first_occurrences(codes: np.ndarray) -> np.ndarray:
     first = np.minimum.reduceat(order, np.flatnonzero(run_firsts(codes[order])))
     first.sort()
     return first
-
-
-def distinct_sorted(codes: np.ndarray, return_counts: bool = False):
-    """numpy's ``unique(codes)``, and its ``return_counts``, by a sort and a
-    neighbour compare; numpy 2 may take a slower hash path for that call."""
-    ordered = np.sort(codes)
-    firsts = run_firsts(ordered)
-    if return_counts:
-        starts = np.flatnonzero(firsts)
-        return ordered[starts], np.diff(starts, append=len(ordered))
-    return ordered[firsts]

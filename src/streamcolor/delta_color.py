@@ -148,7 +148,7 @@ def replay(
     None; after such a stop, slots and degrees are those at the stop.
     """
     first = np.zeros(len(u), dtype=bool)
-    first[first_occurrences(pair_codes(u, v, n).astype(id_dtype(n * n)))] = True
+    first[first_occurrences(pair_codes(u, v, n))] = True
     degree = np.bincount(u[first], minlength=n) + np.bincount(v[first], minlength=n)
     start = (np.cumsum(degree) - degree).tolist()
     fill = list(start)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_PAIR_N, EdgeStream, distinct_sorted, first_occurrences, id_dtype, pair_codes
+from .core import MAX_PAIR_N, EdgeStream, first_occurrences, id_dtype, pair_codes, run_firsts
 
 
 @dataclass
@@ -77,7 +77,7 @@ def verify_proper(stream: EdgeStream, coloring: Coloring) -> list[tuple[int, int
     # dense color ids, below n, so colors of any size compare at id width
     ids: dict[int, int] = {}
     code = np.fromiter((ids.setdefault(c, len(ids)) for c in col), dtype=id_dtype(n), count=n)
-    found = [np.empty(0, dtype=np.int64)]
+    found = [np.empty(0, dtype=id_dtype(n * n))]
     for u, v in stream.pass_chunks():
         same = code[u] == code[v]
         u, v = u[same], v[same]
@@ -97,12 +97,14 @@ def repeat_counts(stream: EdgeStream) -> RepeatCounts:
     n = stream.n
     if n > MAX_PAIR_N:
         raise ValueError(f"repeat counts need n <= {MAX_PAIR_N}, so that pair codes fit in int64")
-    codes = [np.empty(0, dtype=np.int64)]
+    codes = [np.empty(0, dtype=id_dtype(n * n))]
     for u, v in stream.pass_chunks():
         codes.append(pair_codes(u, v, n))
-    counts = distinct_sorted(np.concatenate(codes), return_counts=True)[1]
+    codes = np.concatenate(codes)
+    codes.sort()  # each distinct pair is now one run
+    counts = np.diff(np.flatnonzero(run_firsts(codes)), append=len(codes))
     return RepeatCounts(
-        m=int(counts.sum()), distinct=len(counts), max_multiplicity=int(counts.max(initial=0))
+        m=len(codes), distinct=len(counts), max_multiplicity=int(counts.max(initial=0))
     )
 
 

@@ -25,7 +25,7 @@ from streamcolor import (
     run_arboricity_coloring,
     verify_proper,
 )
-from streamcolor.arb_color import out_degree_profile, per_class_out_bound
+from streamcolor.arb_color import _orient_arrays, out_degree_profile, per_class_out_bound
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -108,21 +108,30 @@ def test_out_degree_profile_examples():
     assert out_degree_profile(*triangle, lp, split).tolist() == [1, 0]
 
 
+def one_class(n: int) -> PhasePartition:
+    return PhasePartition(ell=1, class_of=np.ones(n, dtype=np.int64), seed=0)
+
+
 def test_offline_dag_color_path():
-    coloring = offline_dag_color(*chunk((0, 1), (1, 2)), flat_partition(3), np.ones(3), [1])
+    coloring, out_degrees = offline_dag_color(
+        *_orient_arrays(*chunk((0, 1), (1, 2)), flat_partition(3)), one_class(3)
+    )
     assert coloring.assignment == [0, 1, 0]
     assert coloring.colors_used == 2
+    assert out_degrees == [1]
 
 
 def test_offline_dag_color_singleton_and_offset_palette():
-    single = offline_dag_color(*chunk(), flat_partition(1), np.ones(1), [0])
+    single, _ = offline_dag_color(*_orient_arrays(*chunk(), flat_partition(1)), one_class(1))
     assert single.assignment == [0]
     # class 2's path 2-3-4 colors in the block [2, 4) after class 1's [0, 2)
-    two_classes = offline_dag_color(
-        *chunk((0, 1), (2, 3), (3, 4)), flat_partition(5), np.array([1, 1, 2, 2, 2]), [1, 1]
+    split = PhasePartition(ell=2, class_of=np.array([1, 1, 2, 2, 2]), seed=0)
+    two_classes, out_degrees = offline_dag_color(
+        *_orient_arrays(*chunk((0, 1), (2, 3), (3, 4)), flat_partition(5)), split
     )
     assert two_classes.assignment == [1, 0, 2, 3, 2]
     assert two_classes.palette_size == 4
+    assert out_degrees == [1, 1]
 
 
 def test_offline_dag_color_respects_orientation():
@@ -131,14 +140,12 @@ def test_offline_dag_color_respects_orientation():
     lp = LayerPartition(
         k=2, layer=[1, 2, 2, 2], threshold=2, witnessed_degree=[0] * 4,
     )
-    coloring = offline_dag_color(*chunk((0, 1), (0, 2), (0, 3)), lp, np.ones(4), [3])
+    coloring, out_degrees = offline_dag_color(
+        *_orient_arrays(*chunk((0, 1), (0, 2), (0, 3)), lp), one_class(4)
+    )
     assert coloring.assignment == [1, 0, 0, 0]
     assert coloring.colors_used == 2
-
-
-def test_offline_dag_color_rejects_small_palette():
-    with pytest.raises(AssertionError, match="palette too small"):
-        offline_dag_color(*chunk(*K4_EDGES), flat_partition(4), np.ones(4), [2])
+    assert out_degrees == [3]
 
 
 def test_k4_trace():

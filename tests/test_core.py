@@ -17,7 +17,7 @@ from streamcolor import (
     run_delta_coloring,
 )
 from streamcolor import cli, core
-from streamcolor.core import MAX_PAIR_N, distinct_sorted, first_occurrences, pair_codes
+from streamcolor.core import MAX_PAIR_N, first_occurrences, pair_codes
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -106,13 +106,6 @@ def test_endpoint_order_preserved():
     assert one_pass(s) == [(1, 0)]
 
 
-def test_open_stream_in_memory_needs_n():
-    with pytest.raises(ValueError, match="vertex count"):
-        open_stream([(0, 1)])
-    s = open_stream([(0, 1)], n=2)
-    assert s.m == 1
-
-
 def test_open_stream_parses_file(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# a comment\n4 3\n0 1\n\n1 2\n# another\n2 3\n")
@@ -151,7 +144,7 @@ def test_open_stream_rejects_malformed(tmp_path, content, fragment):
 
 
 def test_check_edges_finds_the_first_error_in_a_late_slice(tmp_path, monkeypatch):
-    monkeypatch.setattr(core, "_CHECK_SLICE", 3)
+    monkeypatch.setattr(core, "BLOCK", 12)  # a few lines per block
     pairs = [(0, 1)] * 7 + [(2, 2), (0, 1), (0, 10)]  # pair 7 is on line 9
     p = tmp_path / "g.txt"
     p.write_text("10 10\n" + "".join(f"{a} {b}\n" for a, b in pairs))
@@ -190,9 +183,8 @@ def test_open_stream_scratch_is_bounded_by_blocks(tmp_path, monkeypatch, prefix,
     # tracemalloc sees numpy's buffers: beyond the stream's two id arrays,
     # 2 bytes per id at n 4096, opening a file costs a few parse blocks,
     # however many edges the file holds and whichever route its blocks take;
-    # with small blocks and check slices, small files show it
+    # with small blocks, small files show it
     monkeypatch.setattr(core, "BLOCK", 1 << 14)
-    monkeypatch.setattr(core, "_CHECK_SLICE", 1 << 12)
     excess = []
     for m in (70_000, 280_000):  # at a fixed n, 0.6 and 2.6 MB of file
         stream, peak = traced_open(gnm_file(tmp_path, m, prefix, newline))
@@ -239,7 +231,7 @@ def test_stored_graph_accounting_matches_shadow_set(edge_seq):
 
 def test_from_edges_rejects_endpoint_beyond_int64():
     with pytest.raises(StreamFormatError, match="signed 64-bit"):
-        open_stream([(0, 2**63)], n=2**64)
+        EdgeStream.from_edges(2**64, [(0, 2**63)])
     with pytest.raises(StreamFormatError, match="signed 64-bit"):
         EdgeStream.from_edges(4, [(-(2**64), 1)])
 
@@ -301,13 +293,10 @@ code_values = st.one_of(
 @given(st.lists(code_values, max_size=80))
 def test_dedup_helpers_match_numpy_unique(values):
     codes = np.asarray(values, dtype=np.int64)
-    values_, index, counts = np.unique(codes, return_index=True, return_counts=True)
+    index = np.unique(codes, return_index=True)[1]
     first = first_occurrences(codes)
     assert first.tolist() == np.sort(index).tolist()
     assert first.dtype == index.dtype
-    assert np.array_equal(distinct_sorted(codes), values_)
-    got_values, got_counts = distinct_sorted(codes, return_counts=True)
-    assert np.array_equal(got_values, values_) and got_counts.tolist() == counts.tolist()
 
 
 @pytest.mark.parametrize(
@@ -324,8 +313,6 @@ def test_dedup_helpers_on_edge_inputs(values):
     codes = np.asarray(values, dtype=np.int64)
     index = np.unique(codes, return_index=True)[1]
     assert first_occurrences(codes).tolist() == np.sort(index).tolist()
-    assert distinct_sorted(codes).tolist() == np.unique(codes).tolist()
-    assert distinct_sorted(codes).dtype == np.int64
 
 
 def test_pair_codes_ignore_endpoint_order_and_guard_int64():

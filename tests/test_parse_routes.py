@@ -231,7 +231,7 @@ def test_routes_agree_at_id_width_limits(tmp_path, n):
     assert head == (n, len(edges)) and a.dtype == core.id_dtype(n)
     expected = n, len(edges), [e[0] for e in edges], [e[1] for e in edges]
     assert assert_same(path.read_bytes()) == expected
-    assert outcome(lambda _: open_stream(edges, n=n), path) == expected
+    assert outcome(lambda _: core.EdgeStream.from_edges(n, edges), path) == expected
 
 
 def test_older_numpy_warning_takes_the_scan_route(tmp_path, monkeypatch):
