@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EdgeStream, id_dtype, pair_codes, run_firsts
-from .delta_color import DEFAULT_C, PhasePartition, validate_run_params
+from .delta_color import DEFAULT_C, PhasePartition, derived_count, validate_run_params
 from .oracle import Coloring
 from .peel import LayerPartition, PeelStalled, PeelState
 
@@ -40,7 +40,7 @@ def derive_config(n: int, alpha: int, epsilon: float, c: float) -> ArbRunConfig:
     eps_prime = epsilon / 6.0
     gamma = epsilon / 3.0
     raw = (eps_prime / c) * ((2.0 + gamma) * alpha) / math.log2(n)
-    return ArbRunConfig(eps_prime=eps_prime, gamma=gamma, ell=max(1, math.ceil(raw)))
+    return ArbRunConfig(eps_prime=eps_prime, gamma=gamma, ell=derived_count("ell", raw))
 
 
 def per_class_out_bound(n: int, eps_prime: float, c: float) -> float:
@@ -70,13 +70,14 @@ def offline_dag_color(
     """First-free coloring of every vertex against an orientation, and the
     per-class max out-degrees that size its palettes.
 
-    The edges come as ``_orient_arrays`` gives them: distinct, each pointing
-    from tail to head, and joining endpoints of one class of ``part``, so a
-    vertex's out-edges here are its class out-degree. Class i (1-based) owns
-    a block of (its max out-degree + 1) colors; the blocks are laid end to
-    end from 0. Vertices are visited in decreasing key order, so a vertex's
-    out-neighbors (all with larger keys) are colored already; avoiding them
-    suffices because in-neighbors in turn avoid this vertex.
+    The edges must be distinct, oriented by ``_orient_arrays`` (tail to
+    head, ``key`` the per-vertex order), and join endpoints of one class of
+    ``part``, so a vertex's out-edges here are its class out-degree. Class i
+    (1-based) owns a block of (its max out-degree + 1) colors, which no
+    vertex can exhaust; the blocks are laid end to end from 0. Vertices are
+    visited in decreasing key order, so a vertex's out-neighbors (all with
+    larger keys) are colored already; avoiding them suffices because
+    in-neighbors in turn avoid this vertex.
     """
     n = len(key)
     out = np.bincount(tail, minlength=n)

@@ -42,6 +42,7 @@ import numpy as np
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
 _INT64_MAX = 2**63 - 1
 BLOCK = 1 << 17  # bytes per block of read_pairs
+MAX_LINE = BLOCK  # bytes per line of read_pairs, its "\n" included
 MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max fits
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what "surrogateescape" makes of a bad byte
 
@@ -157,7 +158,9 @@ def read_pairs(path: Path, header: bool, check: Callable[..., None]):
     ``header``, as (header or None, a, b). The file is opened once and read
     front to back, so a pipe works, in blocks of ``BLOCK`` bytes, each
     completed to the end of its last line: numpy tokenizes a plain block, a
-    line scan any other. Each block's pairs pass ``check(head, a, b, lines)``,
+    line scan any other. A line of more than ``MAX_LINE`` bytes, its ``\n``
+    included, is an error on its own line, so a block holds at most
+    ``BLOCK + MAX_LINE`` bytes. Each block's pairs pass ``check(head, a, b, lines)``,
     ``lines[i]`` the line of pair i, before they are stored and before the
     block's format error is raised, so the first error in the file is the one
     raised. The pairs go straight into a and b: int64 without a header, else
@@ -169,7 +172,11 @@ def read_pairs(path: Path, header: bool, check: Callable[..., None]):
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
         while block := fh.read(BLOCK):
-            block += fh.readline()  # the rest of the block's last line
+            last = block.rfind(b"\n") + 1  # where the block's last line starts
+            block += fh.readline(MAX_LINE + 1 - (len(block) - last))  # the rest of that line
+            too_long = len(block) - last > MAX_LINE
+            if too_long:
+                block = block[:last]
             found, vals, lines, line, error = _block_pairs(block, line, header and head is None)
             if found is not None:
                 head, cap, dtype = found, min(found[1], size // 4), id_dtype(found[0])
@@ -185,6 +192,8 @@ def read_pairs(path: Path, header: bool, check: Callable[..., None]):
                 count += k
             if error is not None:
                 raise error
+            if too_long:
+                raise StreamFormatError(f"line longer than {MAX_LINE} bytes", line)
     if header and head is None:
         raise StreamFormatError("missing header line '<n> <m>'")
     if len(a) != count:
@@ -216,9 +225,9 @@ def _plain_values(block: bytes) -> np.ndarray | None:
     to ``_scan_block``."""
     if b"\r" in block:
         block = block.replace(b"\r\n", b"\n")  # each line keeps its number
-    buf = np.frombuffer(block, dtype=np.uint8)
-    if buf[-1] != ord("\n"):
+    if not block.endswith(b"\n"):
         return None
+    buf = np.frombuffer(block, dtype=np.uint8)
     seps = np.flatnonzero((buf - ord("0")) > 9)  # uint8 wraps below '0'
     kinds = buf[seps]
     if len(seps) % 2 or (kinds[0::2] != ord(" ")).any() or (kinds[1::2] != ord("\n")).any():

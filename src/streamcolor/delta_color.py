@@ -37,25 +37,32 @@ def validate_run_params(n: int, bound_name: str, bound: int, epsilon: float, c: 
     or 'alpha') names the degree or arboricity bound in the message."""
     if n < 2:
         raise ValueError("need n >= 2 (log2 n must be positive)")
-    if bound < 0:
-        raise ValueError(f"{bound_name} must be non-negative")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 <= bound < 2**63:  # so that it converts to a float
+        raise ValueError(f"{bound_name} must be non-negative and below 2**63")
+    if not 0 < epsilon < math.inf:  # also false for nan
+        raise ValueError("epsilon must be a positive finite number")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be a positive finite number")
+
+
+def derived_count(name: str, raw: float) -> int:
+    """max(1, ceil(raw)) for a count derived from the run parameters, or a
+    ValueError naming it when it does not fit in int64."""
+    if not raw < 2.0**63:  # also true for inf and nan
+        raise ValueError(f"{name} = {raw:g} overflows; the run parameters are out of range")
+    return max(1, math.ceil(raw))
 
 
 def class_count(n: int, delta: int, epsilon: float, c: float) -> int:
     """Number of random classes ell; at least 1 (single class = whole graph)."""
     validate_run_params(n, "delta", delta, epsilon, c)
-    raw = epsilon * delta / (2.0 * c * math.log2(n))
-    return max(1, math.ceil(raw))
+    return derived_count("ell", epsilon * delta / (2.0 * c * math.log2(n)))
 
 
 def palette_size(n: int, epsilon: float, c: float) -> int:
     """Slots per class, r."""
     validate_run_params(n, "delta", 0, epsilon, c)
-    return math.ceil((1.0 + 2.0 / epsilon) * c * math.log2(n)) + 1
+    return derived_count("r", (1.0 + 2.0 / epsilon) * c * math.log2(n)) + 1
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ def peel_threshold(alpha: int | float, gamma: float) -> int:
     Routing through Fraction(str(.)) keeps e.g. alpha=100, gamma=0.29 at 229
     where naive float product gives 228.999... and would floor one short.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:  # also false for nan
+        raise ValueError("gamma must be a positive finite number")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     return math.floor((Fraction(2) + Fraction(str(gamma))) * Fraction(str(alpha)))

@@ -83,6 +83,16 @@ def _grid(run: dict, key: str, kinds: tuple[type, ...], default) -> list:
     return [_typed(value, key, kinds) for value in (values if type(values) is list else [values])]
 
 
+def _finite(value, key: str) -> float:
+    """value as a float, if it is a finite one."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"a sweep run's {key!r} must be a finite number, got {value!r}")
+
+
 def expand_spec(doc: dict) -> list[SweepCell]:
     """Cross the grid: epsilon, c and seed entries may be scalars or lists."""
     if not isinstance(doc, dict):
@@ -123,8 +133,8 @@ def expand_spec(doc: dict) -> list[SweepCell]:
                         order=order,
                         gen_seed=gen_seed,
                         algorithm=algorithm,
-                        epsilon=float(epsilon),
-                        c=float(c),
+                        epsilon=_finite(epsilon, "epsilon"),
+                        c=_finite(c, "c"),
                         seed=seed,
                     ))
     return cells

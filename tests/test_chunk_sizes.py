@@ -6,7 +6,7 @@ per-edge references below spell those semantics out as plain loops.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict
 
 import numpy as np
@@ -26,10 +26,12 @@ from streamcolor import (
     measure_max_degree,
     peel,
     peel_threshold,
+    repeat_counts,
     run_arboricity_coloring,
     run_delta_coloring,
     verify_proper,
 )
+from streamcolor.core import pair_codes
 
 CHUNK_SIZES = (1, 7, None)  # None: the default chunk size
 
@@ -292,3 +294,28 @@ def test_verify_violations_same_at_every_chunk_size(at_chunk_sizes):
     assert len(violations) > 100
     # the repeats add no violation of their own, and no pair reports twice
     assert len(set(violations)) == len(violations)
+
+
+@pytest.mark.parametrize("n, width", [
+    (16, np.uint8), (256, np.uint16), (257, np.uint32), (65536, np.uint32), (65537, np.int64),
+])
+def test_repeat_counts_match_a_pair_counter_at_every_code_width(at_chunk_sizes, n, width):
+    # n and n + 1 on each side of a code width's limit, with the pair of the
+    # two top ids, whose code is the largest of a graph
+    rng = np.random.default_rng(n)
+    u = rng.integers(0, n, size=400)
+    edges = np.column_stack((u, (u + rng.integers(1, n, size=400)) % n))
+    edges = np.concatenate([
+        edges, [[n - 1, n - 2], [n - 2, n - 1]],
+        edges[::5], edges[::7, ::-1], edges[:1], edges[:1, ::-1],  # exact and swapped repeats
+    ])
+    assert pair_codes(edges[:, 0], edges[:, 1], n).dtype == width
+    counts = Counter((min(a, b), max(a, b)) for a, b in edges.tolist())
+    assert max(counts.values()) >= 4
+
+    def run():
+        r = repeat_counts(EdgeStream.from_edges(n, edges))
+        return r.m, r.distinct, r.max_multiplicity
+
+    expected = (len(edges), len(counts), max(counts.values()))
+    assert at_chunk_sizes(run) == [expected] * len(CHUNK_SIZES)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -218,6 +219,41 @@ def test_malformed_edge_file(tmp_path, capsys):
     bad.write_text("4 2\n0 1\n9 1\n")
     assert main(["maxdeg", "-i", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["color-delta", "--epsilon", "inf"], id="delta-epsilon-inf"),
+    pytest.param(["color-delta", "--epsilon", "1e-320"], id="delta-epsilon-1e-320"),
+    pytest.param(["color-delta", "--epsilon", "0.5", "--c", "inf"], id="delta-c-inf"),
+    pytest.param(["color-delta", "--epsilon", "nan"], id="delta-epsilon-nan"),
+    pytest.param(["color-delta", "--epsilon", "0.5", "--delta", str(10**400)], id="delta-huge"),
+    pytest.param(["color-arb", "--alpha", "3", "--epsilon", "inf"], id="arb-epsilon-inf"),
+    pytest.param(["color-arb", "--alpha", "3", "--epsilon", "0.5", "--c", "inf"], id="arb-c-inf"),
+    pytest.param(["peel", "--alpha", "3", "--gamma", "inf"], id="peel-gamma-inf"),
+])
+def test_bad_run_parameters_are_input_errors(k4_path, tmp_path, capsys, argv):
+    # an infinite or NaN parameter, or a derived count that overflows, is an
+    # input error: exit 2, not an OverflowError (exit 1 is a failed verify)
+    out = tmp_path / "out.txt"
+    assert main([*argv, "-i", k4_path, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", math.inf), ("c", -math.inf), ("epsilon", 10**400), ("c", 1e308),
+])
+def test_sweep_bad_run_parameters_are_input_errors(tmp_path, capsys, key, value):
+    # json writes inf as Infinity; c = 1e308 is finite, but its r overflows
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"runs": [
+        {"family": "complete", "n": 5, "algorithm": "delta", "epsilon": 0.5, key: value},
+    ]}))
+    assert main(["sweep", "-s", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_color_delta_full_flow(k4_path, tmp_path, capsys):

@@ -196,6 +196,53 @@ def test_open_stream_scratch_is_bounded_by_blocks(tmp_path, monkeypatch, prefix,
     assert excess[1] < excess[0] + core.BLOCK, excess  # does not grow with m
 
 
+LINE = core.MAX_LINE
+
+
+@pytest.mark.parametrize("body, bad_line", [
+    pytest.param(b"# " + b"x" * (LINE - 3) + b"\n2 3\n", None, id="at-the-limit"),
+    pytest.param(b"# " + b"x" * (LINE - 2) + b"\n2 3\n", 3, id="one-byte-over"),
+    pytest.param(b"2 3\n# " + b"x" * (LINE - 2), None, id="last-line-at-the-limit"),
+    pytest.param(b"2 3\n# " + b"x" * (LINE - 1), 4, id="last-line-one-byte-over"),
+    pytest.param(b"0 1 " + b"9" * (4 * LINE) + b"\n", 3, id="pair-line"),
+])
+def test_a_line_longer_than_max_line_is_an_error_on_its_line(tmp_path, body, bad_line):
+    # a line may hold MAX_LINE bytes, its "\n" included; a longer one is an
+    # error on its own line, whichever block it starts in
+    p = tmp_path / "g.txt"
+    for lead in (b"", b"0 1\n" * (LINE // 5)):  # a first block of plain lines ends mid-line
+        p.write_bytes(b"4 0\n" + lead + b"0 1\n" + body)
+        if bad_line is None:
+            assert open_stream(p).m == lead.count(b"\n") + 2
+            continue
+        line = bad_line + lead.count(b"\n")
+        with pytest.raises(StreamFormatError, match=f"^line {line}: line longer than {LINE} bytes$"):
+            open_stream(p)
+
+
+def test_an_earlier_error_comes_before_a_long_line(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_bytes(b"4 0\n0 1\n2 2\n# " + b"x" * (4 * LINE) + b"\n")
+    with pytest.raises(StreamFormatError, match="^line 3: self-loop at vertex 2$"):
+        open_stream(p)
+
+
+def test_long_line_scratch_is_bounded_by_blocks(tmp_path):
+    # the reader takes at most MAX_LINE bytes of a longer line into a block,
+    # not the whole line, whose every byte the plain check would index at
+    # about 9 B per byte
+    p = tmp_path / "g.txt"
+    p.write_bytes(b"4 4\n0 1\n1 2\n# " + b"x" * (16 * LINE) + b"\n2 3\n3 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(StreamFormatError, match=f"^line 4: line longer than {LINE} bytes$"):
+            open_stream(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (core.BLOCK + LINE), peak
+
+
 def test_measure_max_degree():
     assert measure_max_degree(EdgeStream.from_edges(4, K4_EDGES)) == 3
     assert measure_max_degree(EdgeStream.from_edges(5, [(0, i) for i in range(1, 5)])) == 4
