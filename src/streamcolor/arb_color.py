@@ -9,8 +9,8 @@ collection, sharing pass 1, so the whole run costs exactly k passes.
 Afterwards each class subgraph is colored offline against the peel
 orientation with a fresh palette of (max out-degree + 1) colors, giving
 total colors at most sum_i (out_i + 1). The offline stage decodes the codes
-to ids at id_dtype(n) and orients them once; the out-degrees and the
-coloring both read that one orientation.
+to ids at id_dtype(n) and orients them once by ``LayerPartition.key()``;
+the out-degrees and the coloring both read that one orientation.
 """
 
 from __future__ import annotations
@@ -48,45 +48,33 @@ def per_class_out_bound(n: int, eps_prime: float, c: float) -> float:
     return (1.0 + 1.0 / eps_prime) * c * math.log2(n)
 
 
-def _orient_arrays(
-    edges_u: np.ndarray, edges_v: np.ndarray, lp: LayerPartition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tail and head of each edge, at the edges' dtype, plus the per-vertex
-    key layer*n + v at id_dtype((k + 1) * n), which holds the largest key.
+def offline_dag_color(
+    u: np.ndarray, v: np.ndarray, lp: LayerPartition, part: PhasePartition
+) -> tuple[Coloring, list[int]]:
+    """First-free coloring of every vertex against the peel orientation, and
+    the per-class max out-degrees that size its palettes.
 
-    The integer key orders vertices as (layer, id) tuples would, and every edge
-    points from its smaller-key endpoint to the larger.
+    The edges must be distinct, in either endpoint order, and join endpoints
+    of one class of ``part``. Each points from its endpoint with the smaller
+    ``lp.key()`` to the larger, so a vertex's out-edges here are its class
+    out-degree. Class i (1-based) owns a block of (its max out-degree + 1)
+    colors, which no vertex can exhaust; the blocks are laid end to end from
+    0. Vertices are visited in decreasing key order, so a vertex's
+    out-neighbors (all with larger keys) are colored already; avoiding them
+    suffices because in-neighbors in turn avoid this vertex.
     """
     n = lp.n
-    key = np.asarray(lp.layer, dtype=np.int64) * n + np.arange(n, dtype=np.int64)
-    key = key.astype(id_dtype((lp.k + 1) * n))
-    forward = key[edges_u] < key[edges_v]
-    return np.where(forward, edges_u, edges_v), np.where(forward, edges_v, edges_u), key
-
-
-def offline_dag_color(
-    tail: np.ndarray, head: np.ndarray, key: np.ndarray, part: PhasePartition
-) -> tuple[Coloring, list[int]]:
-    """First-free coloring of every vertex against an orientation, and the
-    per-class max out-degrees that size its palettes.
-
-    The edges must be distinct, oriented by ``_orient_arrays`` (tail to
-    head, ``key`` the per-vertex order), and join endpoints of one class of
-    ``part``, so a vertex's out-edges here are its class out-degree. Class i
-    (1-based) owns a block of (its max out-degree + 1) colors, which no
-    vertex can exhaust; the blocks are laid end to end from 0. Vertices are
-    visited in decreasing key order, so a vertex's out-neighbors (all with
-    larger keys) are colored already; avoiding them suffices because
-    in-neighbors in turn avoid this vertex.
-    """
-    n = len(key)
+    key = lp.key()
+    forward = key[u] < key[v]
+    tail, head = np.where(forward, u, v), np.where(forward, v, u)
     out = np.bincount(tail, minlength=n)
     out_degrees = part.class_max(out)
-    # CSR by tail: the out-neighbors of v are heads[start[v]:start[v + 1]], in
+    # CSR by tail: the out-neighbors of x are heads[start[x]:start[x + 1]], in
     # any order, since only the set of their colors matters
     start = np.concatenate(([0], np.cumsum(out))).tolist()
     del out
     by_tail = tail.astype(id_dtype(n * n)) * n + head
+    del forward, tail, head  # the codes hold the edges now; free them before the object lists
     by_tail.sort()
     heads = np.arange(n).astype(object)[by_tail % n]  # one shared int per vertex
     del by_tail
@@ -94,12 +82,12 @@ def offline_dag_color(
     widths = out_degrees + 1
     first = (np.cumsum(widths) - widths)[part.class_of - 1].tolist()
     assignment = [-1] * n
-    for v in np.argsort(key)[::-1].tolist():
-        used = {assignment[w] for w in heads[start[v] : start[v + 1]]}
-        color = first[v]
+    for x in np.argsort(key)[::-1].tolist():
+        used = {assignment[w] for w in heads[start[x] : start[x + 1]]}
+        color = first[x]
         while color in used:
             color += 1
-        assignment[v] = color
+        assignment[x] = color
     return Coloring(assignment=assignment, palette_size=int(widths.sum())), out_degrees.tolist()
 
 
@@ -163,9 +151,9 @@ def run_arboricity_coloring(
         raise
     lp = ps.partition()
     width = id_dtype(n)
-    tail, head, key = _orient_arrays((stored // n).astype(width), (stored % n).astype(width), lp)
-    del stored  # tail and head hold the edges now; free the codes before the offline stage
-    coloring, out_degrees = offline_dag_color(tail, head, key, part)
+    u, v = (stored // n).astype(width), (stored % n).astype(width)
+    del stored  # u and v hold the edges now; free the codes before the offline stage
+    coloring, out_degrees = offline_dag_color(u, v, lp, part)
     metrics = ArbRunMetrics(
         n=n, m=m, ell=cfg.ell, k=lp.k, passes=stream.pass_count - before,
         colors_used=coloring.colors_used, per_class_out_degree=out_degrees,
@@ -184,6 +172,7 @@ def out_degree_profile(
     without a run. Each edge counts once per occurrence; on the run's
     deduplicated stored edges it gives ArbRunMetrics.per_class_out_degree.
     """
-    tail, head, _ = _orient_arrays(edges_u, edges_v, lp)
-    outdeg = np.bincount(tail[partition.same(tail, head)], minlength=partition.n)
+    key = lp.key()
+    tail = np.where(key[edges_u] < key[edges_v], edges_u, edges_v)
+    outdeg = np.bincount(tail[partition.same(edges_u, edges_v)], minlength=partition.n)
     return partition.class_max(outdeg)

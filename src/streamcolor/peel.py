@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import EdgeStream
+from .core import EdgeStream, id_dtype
 
 
 def peel_threshold(alpha: int | float, gamma: float) -> int:
@@ -78,6 +78,13 @@ class LayerPartition:
 
     passes = property(lambda self: self.k)  # one pass per round; bench/run.py reads it
 
+    def key(self) -> np.ndarray:
+        """The orientation's (layer, id) order as one integer per vertex,
+        ``layer * n + v``, at ``id_dtype((k + 1) * n)``, which holds the largest."""
+        n = self.n
+        key = np.asarray(self.layer, dtype=np.int64) * n + np.arange(n, dtype=np.int64)
+        return key.astype(id_dtype((self.k + 1) * n))
+
 
 class PeelState:
     """Round-by-round peeling; the caller drives one stream pass per round.
@@ -96,7 +103,6 @@ class PeelState:
         self.deg = np.zeros(n, dtype=np.int64)
         self.layer = np.zeros(n, dtype=np.int64)
         self.witnessed = np.zeros(n, dtype=np.int64)
-        self.active_ids = np.arange(n, dtype=np.int64)
         self.rounds = 0
 
     def consume(self, u: np.ndarray, v: np.ndarray) -> None:
@@ -107,23 +113,21 @@ class PeelState:
     def finish_round(self) -> int:
         """Peel everything at or under threshold; returns how many moved."""
         self.rounds += 1
-        ids = self.active_ids
+        ids = np.flatnonzero(self.active)
         deg = self.deg[ids]
         low = deg <= self.threshold
         gone = ids[low]
-        keep = ids[~low]
-        if not len(gone) and len(keep):
-            raise PeelStalled(self.rounds, len(keep), self.threshold, self.alpha, self.gamma)
+        if not len(gone) and len(ids):
+            raise PeelStalled(self.rounds, len(ids), self.threshold, self.alpha, self.gamma)
         self.layer[gone] = self.rounds
         self.witnessed[gone] = deg[low]
         self.active[gone] = False
         self.deg[:] = 0
-        self.active_ids = keep
         return len(gone)
 
     @property
     def active_count(self) -> int:
-        return len(self.active_ids)
+        return int(np.count_nonzero(self.active))
 
     def partition(self) -> LayerPartition:
         if self.active_count:

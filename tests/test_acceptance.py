@@ -37,7 +37,7 @@ from streamcolor import (
     run_delta_coloring,
     verify_proper,
 )
-from streamcolor.arb_color import _orient_arrays, out_degree_profile, per_class_out_bound
+from streamcolor.arb_color import out_degree_profile, per_class_out_bound
 from streamcolor.cli import main as cli_main
 from streamcolor.delta_color import mono_degree_profile
 
@@ -257,7 +257,7 @@ def test_criterion_7_offline_dag_coloring_random_partitions():
             arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
             part = PhasePartition(ell=1, class_of=np.ones(n, dtype=np.int64), seed=0)
             coloring, out_degrees = offline_dag_color(
-                *_orient_arrays(arr[:, 0], arr[:, 1], lp), part
+                arr[:, 0], arr[:, 1], lp, part
             )
             assert out_degrees == [max(out)]
             for u, v in edges:

@@ -22,7 +22,6 @@ from streamcolor import (
     peel,
     peel_threshold,
 )
-from streamcolor.arb_color import _orient_arrays
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 STAR6_EDGES = [(0, i) for i in range(1, 6)]
@@ -38,8 +37,7 @@ def make_partition(layer: list[int]) -> LayerPartition:
 
 def orientation_key(lp: LayerPartition) -> list[int]:
     """The per-vertex ``layer*n + v`` key; every edge points from its smaller end."""
-    none = np.zeros(0, dtype=np.int64)
-    return _orient_arrays(none, none, lp)[2].tolist()
+    return lp.key().tolist()
 
 
 def test_peel_threshold_values():
