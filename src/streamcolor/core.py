@@ -42,9 +42,10 @@ import numpy as np
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
 _INT64_MAX = 2**63 - 1
 BLOCK = 1 << 17  # bytes per block of read_pairs
-MAX_LINE = BLOCK  # bytes per line of read_pairs, its "\n" included
+MAX_LINE = BLOCK  # bytes per line of read_pairs, its line end included
 MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max fits
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what "surrogateescape" makes of a bad byte
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 class StreamFormatError(ValueError):
@@ -156,10 +157,12 @@ def check_edges(n: int, u: np.ndarray, v: np.ndarray, lines: Sequence[int] | Non
 def read_pairs(path: Path, header: bool, check: Callable[..., None]):
     """Read a file of ``<a> <b>`` int64 pairs, after an ``<n> <m>`` line when
     ``header``, as (header or None, a, b). The file is opened once and read
-    front to back, so a pipe works, in blocks of ``BLOCK`` bytes, each
-    completed to the end of its last line: numpy tokenizes a plain block, a
-    line scan any other. A line of more than ``MAX_LINE`` bytes, its ``\n``
-    included, is an error on its own line, so a block holds at most
+    front to back, so a pipe works, in reads of ``BLOCK`` bytes. Each read is
+    cut after its last line end (``\n``, ``\r\n`` or a lone ``\r``) into a
+    block, and the unfinished line carries into the next read; a final ``\r``
+    is held back, since it may start a ``\r\n``. numpy tokenizes a plain
+    block, a line scan any other. A line of more than ``MAX_LINE`` bytes, its
+    line end included, is an error on its own line, so a block holds at most
     ``BLOCK + MAX_LINE`` bytes. Each block's pairs pass ``check(head, a, b, lines)``,
     ``lines[i]`` the line of pair i, before they are stored and before the
     block's format error is raised, so the first error in the file is the one
@@ -169,30 +172,36 @@ def read_pairs(path: Path, header: bool, check: Callable[..., None]):
     pair line). Both grow by doubling, so the scratch is a few blocks.
     """
     head, a, b, count, line = None, np.empty(0, np.int64), np.empty(0, np.int64), 0, 1
+    carry = b""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
-        while block := fh.read(BLOCK):
-            last = block.rfind(b"\n") + 1  # where the block's last line starts
-            block += fh.readline(MAX_LINE + 1 - (len(block) - last))  # the rest of that line
-            too_long = len(block) - last > MAX_LINE
-            if too_long:
-                block = block[:last]
-            found, vals, lines, line, error = _block_pairs(block, line, header and head is None)
-            if found is not None:
-                head, cap, dtype = found, min(found[1], size // 4), id_dtype(found[0])
-                a, b = np.empty(cap, dtype), np.empty(cap, dtype)
-            k = len(vals) // 2
-            if k:  # a block of comments may come before the header
-                check(head, vals[0::2], vals[1::2], lines)
-                if count + k > len(a):
-                    cap = max(2 * len(a), count + k)
-                    a, b = _resized(a, count, cap), _resized(b, count, cap)
-                a[count : count + k] = vals[0::2]
-                b[count : count + k] = vals[1::2]
-                count += k
-            if error is not None:
-                raise error
-            if too_long:
+        while data := carry + fh.read(BLOCK):
+            if len(data) > len(carry):  # hold a final \r back: it may start a \r\n
+                cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+            else:  # the end of the file ends its last line
+                cut = len(data)
+            first = _LINE_END.search(data, 0, cut)  # that line may have begun in the carry
+            if first and first.end() > MAX_LINE:
+                cut = 0
+            block, carry = data[:cut], data[cut:]
+            if block:  # else the carry is an unfinished line or one too long
+                want_header = header and head is None
+                found, vals, lines, line, error = _block_pairs(block, line, want_header)
+                if found is not None:
+                    head, cap, dtype = found, min(found[1], size // 4), id_dtype(found[0])
+                    a, b = np.empty(cap, dtype), np.empty(cap, dtype)
+                k = len(vals) // 2
+                if k:  # a block of comments may come before the header
+                    check(head, vals[0::2], vals[1::2], lines)
+                    if count + k > len(a):
+                        cap = max(2 * len(a), count + k)
+                        a, b = _resized(a, count, cap), _resized(b, count, cap)
+                    a[count : count + k] = vals[0::2]
+                    b[count : count + k] = vals[1::2]
+                    count += k
+                if error is not None:
+                    raise error
+            if len(carry) > MAX_LINE:
                 raise StreamFormatError(f"line longer than {MAX_LINE} bytes", line)
     if header and head is None:
         raise StreamFormatError("missing header line '<n> <m>'")

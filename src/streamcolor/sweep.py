@@ -11,10 +11,10 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .arb_color import run_arboricity_coloring
+from .arb_color import derive_config, run_arboricity_coloring
 from .core import EdgeStream
 from .corpus import GenSpec, generate
-from .delta_color import run_delta_coloring, ColoringAborted
+from .delta_color import palette_size, run_delta_coloring, ColoringAborted
 from .peel import PeelStalled
 
 CSV_COLUMNS = [
@@ -94,7 +94,8 @@ def _finite(value, key: str) -> float:
 
 
 def expand_spec(doc: dict) -> list[SweepCell]:
-    """Cross the grid: epsilon, c and seed entries may be scalars or lists."""
+    """Cross the grid: epsilon, c and seed entries may be scalars or lists.
+    Each cell's derived counts are checked here, so a bad one runs no cell."""
     if not isinstance(doc, dict):
         raise ValueError("a sweep spec must be a JSON object")
     runs = doc.get("runs", [])
@@ -123,7 +124,14 @@ def expand_spec(doc: dict) -> list[SweepCell]:
         else:
             seeds = _grid(run, "seeds", INT, 0)
         for epsilon in _grid(run, "epsilon", NUMBER, 0.5):
+            epsilon = _finite(epsilon, "epsilon")
             for c in _grid(run, "c", NUMBER, 1.0):
+                c = _finite(c, "c")
+                # r, and ell given alpha, need no graph: an overflow is rejected here
+                if algorithm == "delta":
+                    palette_size(n, epsilon, c)
+                elif alpha is not None:
+                    derive_config(n, alpha, epsilon, c)
                 for seed in seeds:
                     cells.append(SweepCell(
                         family=family,
@@ -133,8 +141,8 @@ def expand_spec(doc: dict) -> list[SweepCell]:
                         order=order,
                         gen_seed=gen_seed,
                         algorithm=algorithm,
-                        epsilon=_finite(epsilon, "epsilon"),
-                        c=_finite(c, "c"),
+                        epsilon=epsilon,
+                        c=c,
                         seed=seed,
                     ))
     return cells
@@ -198,9 +206,9 @@ def _record_to_row(record: dict) -> dict:
 
 def run_sweep(doc: dict, out_dir: str | Path) -> Path:
     """Run (or resume) every cell; returns the path of the summary CSV."""
+    cells = expand_spec(doc)  # a bad spec leaves no output directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = expand_spec(doc)
     graph_cache: dict[GenSpec, tuple] = {}
     rows = []
     for cell in cells:

@@ -148,6 +148,26 @@ def test_offline_dag_color_respects_orientation():
     assert out_degrees == [3]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_offline_dag_color_ignores_endpoint_order(n, k, ell, data):
+    # the edges are oriented inside by lp.key(), so swapping the endpoints of
+    # any subset of them gives the same coloring and out-degrees
+    layer = data.draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    lp = LayerPartition(k=k, layer=layer, threshold=0, witnessed_degree=[0] * n)
+    class_of = data.draw(st.lists(st.integers(1, ell), min_size=n, max_size=n))
+    part = PhasePartition(ell=ell, class_of=np.array(class_of, dtype=np.int64), seed=0)
+    same_class = [(a, b) for a in range(n) for b in range(a + 1, n) if class_of[a] == class_of[b]]
+    edges = data.draw(st.lists(st.sampled_from(same_class), unique=True)) if same_class else []
+    swap = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    swapped = [(b, a) if flip else (a, b) for (a, b), flip in zip(edges, swap)]
+    expected = offline_dag_color(*chunk(*edges), lp, part)
+    assert offline_dag_color(*chunk(*swapped), lp, part) == expected
+    coloring, out_degrees = expected
+    assert all(coloring.assignment[a] != coloring.assignment[b] for a, b in edges)
+    assert out_degrees == out_degree_profile(*chunk(*swapped), lp, part).tolist()
+
+
 def test_k4_trace():
     coloring, metrics = run_arboricity_coloring(
         EdgeStream.from_edges(4, K4_EDGES), alpha=2, epsilon=0.5, c=1.0, seed=0

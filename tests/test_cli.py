@@ -243,9 +243,11 @@ def test_bad_run_parameters_are_input_errors(k4_path, tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("key, value", [
     ("epsilon", math.inf), ("c", -math.inf), ("epsilon", 10**400), ("c", 1e308),
+    ("c", [1.0, 1e308]),
 ])
 def test_sweep_bad_run_parameters_are_input_errors(tmp_path, capsys, key, value):
-    # json writes inf as Infinity; c = 1e308 is finite, but its r overflows
+    # json writes inf as Infinity; c = 1e308 is finite, but its r overflows,
+    # and that is found before the first cell runs
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"runs": [
         {"family": "complete", "n": 5, "algorithm": "delta", "epsilon": 0.5, key: value},
@@ -253,7 +255,7 @@ def test_sweep_bad_run_parameters_are_input_errors(tmp_path, capsys, key, value)
     assert main(["sweep", "-s", str(path), "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert not (tmp_path / "out" / "summary.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_color_delta_full_flow(k4_path, tmp_path, capsys):

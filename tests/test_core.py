@@ -196,6 +196,25 @@ def test_open_stream_scratch_is_bounded_by_blocks(tmp_path, monkeypatch, prefix,
     assert excess[1] < excess[0] + core.BLOCK, excess  # does not grow with m
 
 
+def test_lone_cr_file_reads_as_its_lf_copy(tmp_path):
+    # a read is cut after its last line end, a lone \r too, so a file of
+    # many blocks whose lines end in \r gives its LF copy's stream, and a
+    # late error on the same line
+    lf = gnm_file(tmp_path, 30_000)
+    cr = tmp_path / "cr.txt"
+    cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+    assert cr.stat().st_size > 2 * core.BLOCK
+    want, got = open_stream(lf), open_stream(cr)
+    assert (got.n, got.m) == (want.n, want.m) == (4096, 30_000)
+    assert np.array_equal(got._u, want._u) and np.array_equal(got._v, want._v)
+    data = lf.read_bytes()
+    lf.write_bytes(data[: data.rindex(b"\n", 0, -1) + 1] + b"5 5\n")  # the last pair line
+    cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+    for path in (lf, cr):
+        with pytest.raises(StreamFormatError, match="^line 30001: self-loop at vertex 5$"):
+            open_stream(path)
+
+
 LINE = core.MAX_LINE
 
 

@@ -160,6 +160,20 @@ def test_certified_forest_union_round_count_and_forward_degree():
     assert stream.pass_count == lp.k + 1  # verification cost is visible
 
 
+@pytest.mark.parametrize("k, n, dtype", [
+    (1, 128, np.uint8), (1, 129, np.uint16), (3, 64, np.uint8), (3, 65, np.uint16),
+    (1, 32768, np.uint16), (1, 32769, np.uint32), (255, 256, np.uint16), (256, 256, np.uint32),
+])
+def test_key_is_at_the_width_of_its_largest_value(k, n, dtype):
+    # the largest key, k*n + n - 1, is (k + 1) * n - 1: at (k + 1) * n of 256
+    # and 65536 it still fits uint8 and uint16, one vertex or layer more does not
+    layer = [1 + v % k for v in range(n - 1)] + [k]
+    key = make_partition(layer).key()
+    assert key.dtype == dtype
+    assert key.tolist() == [layer[v] * n + v for v in range(n)]
+    assert int(key.max()) == (k + 1) * n - 1
+
+
 def test_orient_prefers_lower_layer_then_lower_id():
     key = orientation_key(make_partition([1, 2, 1, 1, 1, 1, 1, 1]))
     assert key[0] < key[1]
