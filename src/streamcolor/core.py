@@ -180,7 +180,7 @@ def read_pairs(path: Path, header: bool, check: Callable[..., None]):
                 cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
             else:  # the end of the file ends its last line
                 cut = len(data)
-            first = _LINE_END.search(data, 0, cut)  # that line may have begun in the carry
+            first = _LINE_END.search(data, 0, cut)  # the first line, maybe begun in the carry
             if first and first.end() > MAX_LINE:
                 cut = 0
             block, carry = data[:cut], data[cut:]

@@ -95,7 +95,8 @@ def _finite(value, key: str) -> float:
 
 def expand_spec(doc: dict) -> list[SweepCell]:
     """Cross the grid: epsilon, c and seed entries may be scalars or lists.
-    Each cell's derived counts are checked here, so a bad one runs no cell."""
+    The derived r, and ell given alpha, need no graph, so an overflow of
+    either is rejected here, before any cell runs."""
     if not isinstance(doc, dict):
         raise ValueError("a sweep spec must be a JSON object")
     runs = doc.get("runs", [])
@@ -127,7 +128,6 @@ def expand_spec(doc: dict) -> list[SweepCell]:
             epsilon = _finite(epsilon, "epsilon")
             for c in _grid(run, "c", NUMBER, 1.0):
                 c = _finite(c, "c")
-                # r, and ell given alpha, need no graph: an overflow is rejected here
                 if algorithm == "delta":
                     palette_size(n, epsilon, c)
                 elif alpha is not None:

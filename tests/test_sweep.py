@@ -73,10 +73,8 @@ def test_expand_rejects_missing_or_unknown_algorithm():
         expand_spec({"runs": [{"family": "star", "n": 8, "algorithm": "rainbow"}]})
 
 
-def test_expand_rejects_derived_counts_that_overflow():
-    # r of a delta cell, and ell of an arb cell that names alpha, need no graph
-    with pytest.raises(ValueError, match="^r = .* overflows"):
-        expand_spec({"runs": [{"family": "star", "n": 8, "algorithm": "delta", "c": [1, 1e308]}]})
+def test_expand_rejects_an_arb_cell_whose_ell_overflows():
+    # ell needs no graph when the spec names alpha; test_cli covers r of a delta cell
     arb = {"family": "forest-union", "n": 8, "algorithm": "arb", "c": 1e-308}
     with pytest.raises(ValueError, match="^ell = .* overflows"):
         expand_spec({"runs": [{**arb, "alpha": 2}]})
