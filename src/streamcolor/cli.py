@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .arb_color import run_arboricity_coloring
-from .core import StreamFormatError, first_occurrences, measure_max_degree, open_stream, read_pairs
-from .corpus import FAMILIES, ORDERS, GenSpec, generate
-from .delta_color import DEFAULT_C, ColoringAborted, run_delta_coloring
+# verify and the parser need only these; each other command imports its
+# own modules when it runs
+from .core import (
+    DEFAULT_C,
+    FAMILIES,
+    ORDERS,
+    StreamFormatError,
+    first_occurrences,
+    measure_max_degree,
+    open_stream,
+    read_pairs,
+)
 from .oracle import (
     Coloring,
     degeneracy,
@@ -29,9 +36,6 @@ from .oracle import (
     repeat_counts,
     verify_proper,
 )
-from .peel import PeelStalled, peel
-from .sweep import expand_spec, run_sweep
-
 
 WRITE_CHUNK = 1 << 16  # pairs formatted per call
 _LIMB = 10_000  # values are written as base-10**4 limbs of 4 ASCII digits
@@ -122,6 +126,8 @@ def _indexed(values) -> np.ndarray:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -156,6 +162,8 @@ def read_coloring_file(path: str, n: int) -> Coloring:
 
 
 def cmd_gen(args) -> int:
+    from .corpus import GenSpec, generate
+
     spec = GenSpec(
         family=args.family, n=args.n, m=args.m, alpha=args.alpha,
         seed=args.seed, order=args.order,
@@ -173,6 +181,8 @@ def cmd_maxdeg(args) -> int:
 
 
 def cmd_color_delta(args) -> int:
+    from .delta_color import ColoringAborted, run_delta_coloring
+
     stream = open_stream(args.input)
     delta = args.delta if args.delta is not None else measure_max_degree(stream)
     try:
@@ -195,6 +205,8 @@ def cmd_color_delta(args) -> int:
 
 
 def cmd_peel(args) -> int:
+    from .peel import PeelStalled, peel
+
     stream = open_stream(args.input)
     try:
         lp = peel(stream, args.alpha, args.gamma)
@@ -207,6 +219,9 @@ def cmd_peel(args) -> int:
 
 
 def cmd_color_arb(args) -> int:
+    from .arb_color import run_arboricity_coloring
+    from .peel import PeelStalled
+
     stream = open_stream(args.input)
     try:
         coloring, metrics = run_arboricity_coloring(
@@ -265,6 +280,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import json
+
+    from .sweep import expand_spec, run_sweep
+
     doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     expand_spec(doc)  # reject a spec of the wrong shape before reading output_dir
     out_dir = args.output or doc.get("output_dir")

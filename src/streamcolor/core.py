@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import array
 import io
+import math
 import os
 import re
 import warnings
@@ -46,6 +47,12 @@ MAX_LINE = BLOCK  # bytes per line of read_pairs, its line end included
 MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max fits
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what "surrogateescape" makes of a bad byte
 _LINE_END = re.compile(rb"\r\n?|\n")
+
+# The CLI parser's choices and defaults live here, so that building it loads
+# no generator or algorithm module; corpus and delta_color re-export them.
+FAMILIES = ("gnm", "forest-union", "complete", "star", "cycle", "path", "petersen")
+ORDERS = ("as-generated", "random", "sorted-by-endpoint", "layered-adversarial")
+DEFAULT_C = 66 * math.log(2)  # = 66 / log2(e) ~= 45.7477
 
 
 class StreamFormatError(ValueError):

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StreamMeta, first_occurrences, pair_codes
+from .core import FAMILIES, ORDERS, StreamMeta, first_occurrences, pair_codes
 from .seeding import GEN, ORDER, rng_for
-
-FAMILIES = ("gnm", "forest-union", "complete", "star", "cycle", "path", "petersen")
-ORDERS = ("as-generated", "random", "sorted-by-endpoint", "layered-adversarial")
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EdgeStream, first_occurrences, id_dtype, pair_codes
+from .core import DEFAULT_C, EdgeStream, first_occurrences, id_dtype, pair_codes
 from .oracle import Coloring
 from .seeding import PHASE1, rng_for
-
-DEFAULT_C = 66 * math.log(2)  # = 66 / log2(e) ~= 45.7477
 
 
 def validate_run_params(n: int, bound_name: str, bound: int, epsilon: float, c: float) -> None:

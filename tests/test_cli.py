@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor import cli
+from streamcolor import cli, corpus
 from streamcolor.cli import WRITE_CHUNK, main, read_coloring_file, write_pairs
 from streamcolor.corpus import GenSpec, generate
 
@@ -158,7 +158,7 @@ def test_negative_value_is_an_input_error(tmp_path, monkeypatch, capsys):
         edges[-1, 0] = -5
         return edges, meta
 
-    monkeypatch.setattr(cli, "generate", generate_negative)
+    monkeypatch.setattr(corpus, "generate", generate_negative)
     out = tmp_path / "k4.txt"
     assert main(["gen", "--family", "complete", "--n", "4", "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write the negative value -5")
