@@ -235,12 +235,12 @@ def _block_pairs(block: bytes, line: int, want_header: bool):
 
 def _plain_values(block: bytes) -> np.ndarray | None:
     """The numbers of a block of whole plain lines, or None if it is not one:
-    only ``<digits> <digits>`` lines, each ending in ``\\n`` or ``\\r\\n``,
-    at most ``_MAX_DIGITS`` digits per number, so that every value fits in
-    int64. Comments, blank lines, signs, tabs and a lone ``\\r`` are left
-    to ``_scan_block``."""
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n")  # each line keeps its number
+    only ``<digits> <digits>`` lines, each ending in ``\\n``, ``\\r\\n`` or
+    a lone ``\\r``, at most ``_MAX_DIGITS`` digits per number, so that every
+    value fits in int64. Comments, blank lines, signs and tabs are left to
+    ``_scan_block``."""
+    if b"\r" in block:  # each line end becomes one \n, so each line keeps its number
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not block.endswith(b"\n"):
         return None
     buf = np.frombuffer(block, dtype=np.uint8)

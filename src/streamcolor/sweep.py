@@ -148,14 +148,18 @@ def expand_spec(doc: dict) -> list[SweepCell]:
     return cells
 
 
+def _cell_alpha(cell: SweepCell, meta) -> int:
+    """The cell's alpha, else the certified bound from the graph's max degree."""
+    if cell.alpha is not None:
+        return cell.alpha
+    return math.ceil(((meta.max_degree or 0) + 1) / 2)
+
+
 def _run_cell(cell: SweepCell, edges, meta) -> dict:
     """Execute one cell and return the sweep record (config + metrics)."""
     stream = EdgeStream.from_edges(cell.n, edges)
     delta = meta.max_degree or 0
-    alpha = cell.alpha
-    if alpha is None:
-        # certified bound from the max degree when the family carries none
-        alpha = math.ceil((delta + 1) / 2)
+    alpha = _cell_alpha(cell, meta)
     config = {
         "family": cell.family, "n": cell.n, "m": meta.m, "order": cell.order,
         "gen_seed": cell.gen_seed, "algorithm": cell.algorithm,
@@ -205,21 +209,30 @@ def _record_to_row(record: dict) -> dict:
 
 
 def run_sweep(doc: dict, out_dir: str | Path) -> Path:
-    """Run (or resume) every cell; returns the path of the summary CSV."""
-    cells = expand_spec(doc)  # a bad spec leaves no output directory
+    """Run (or resume) every cell; returns the path of the summary CSV.
+
+    A bad spec, a graph that cannot be generated, or an arb cell whose ell
+    overflows for its graph's alpha is rejected before the output directory
+    is made, so it leaves nothing behind."""
+    cells = expand_spec(doc)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     graph_cache: dict[GenSpec, tuple] = {}
+    for cell in cells:
+        if (out / f"{cell.slug()}.json").exists():
+            continue
+        spec = cell.genspec()
+        if spec not in graph_cache:
+            graph_cache[spec] = generate(spec)
+        if cell.algorithm == "arb" and cell.alpha is None:  # expand_spec checked the others
+            derive_config(cell.n, _cell_alpha(cell, graph_cache[spec][1]), cell.epsilon, cell.c)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for cell in cells:
         metrics_path = out / f"{cell.slug()}.json"
         if metrics_path.exists():
             record = json.loads(metrics_path.read_text(encoding="utf-8"))
         else:
-            spec = cell.genspec()
-            if spec not in graph_cache:
-                graph_cache[spec] = generate(spec)
-            edges, meta = graph_cache[spec]
+            edges, meta = graph_cache[cell.genspec()]
             record = _run_cell(cell, edges, meta)
             metrics_path.write_text(
                 json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8"

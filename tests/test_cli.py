@@ -258,6 +258,20 @@ def test_sweep_bad_run_parameters_are_input_errors(tmp_path, capsys, key, value)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("run", [
+    # alpha comes from the generated graph, and so does the overflow of ell
+    {"family": "gnm", "n": 64, "m": 200, "algorithm": "arb", "c": [1.0, 1e-308]},
+    {"family": "forest-union", "n": 64, "algorithm": "arb"},  # no alpha: generate fails
+])
+def test_sweep_that_fails_on_a_graph_writes_nothing(tmp_path, capsys, run):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"runs": [run]}))
+    assert main(["sweep", "-s", str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_color_delta_full_flow(k4_path, tmp_path, capsys):
     col = tmp_path / "col.txt"
     met = tmp_path / "met.json"

@@ -121,7 +121,7 @@ EDGE_CASES = [
     pytest.param(b"4 3\r\n0 1\r\n1 2\r\n2 2\r\n", True, True, "line 4: self-loop at vertex 2",
                  id="crlf-self-loop"),
     pytest.param(b"4 5\n0 1\n1 2\n2 3\r\n0 2\n1 3\n", True, True, None, id="late-crlf"),
-    pytest.param(b"4 2\r0 1\r2 3\n", True, False, None, id="lone-cr"),
+    pytest.param(b"4 2\r0 1\r2 3\n", True, True, None, id="lone-cr"),
     pytest.param(b"4 2\r\n0 1\r\r\n2 3\r\n", True, False, None, id="cr-cr-lf"),
     pytest.param(b"4 2\r\n0 1\r\n12\r3\n", True, False, "line 3: expected two", id="cr-in-a-line"),
     pytest.param(b"4 2\n0\t1\n2 3\n", True, False, None, id="tab"),
@@ -167,15 +167,15 @@ EDGE_CASES = [
     pytest.param(b"4 5\n0 1\n1 2\n2 3\n# late comment\n0 2\n1 3\n", True, False, None,
                  id="late-comment"),
     pytest.param(b"4 5\n0 1\n1 2\n2 3\n\n0 2\n1 3\n", True, False, None, id="late-blank-line"),
-    pytest.param(b"4 5\n0 1\n1 2\n2 3\r0 2\n1 3\n", True, False, None, id="late-lone-cr"),
+    pytest.param(b"4 5\n0 1\n1 2\n2 3\r0 2\n1 3\n", True, True, None, id="late-lone-cr"),
     pytest.param(b"4 3\n# c\n0 1\n1 2\n2 2\n", True, False, "line 5: self-loop at vertex 2",
                  id="self-loop-after-comment-block"),
     # every read is cut after its last line end: a lone \r ends a line, and
     # a final \r waits for the next read, since it may start a \r\n (this
     # file splits one at every small block size)
-    pytest.param(b"4 5\n0 1\r1 2\r2 3\r0 2\r3 3\r", True, False, "line 6: self-loop at vertex 3",
+    pytest.param(b"4 5\n0 1\r1 2\r2 3\r0 2\r3 3\r", True, True, "line 6: self-loop at vertex 3",
                  id="lone-cr-late-self-loop"),
-    pytest.param(b"40 4\r\n1 2\r0 1\r\n2 3\r\n3 3\r\n", True, False,
+    pytest.param(b"40 4\r\n1 2\r0 1\r\n2 3\r\n3 3\r\n", True, True,
                  "line 5: self-loop at vertex 3", id="crlf-split-by-the-cut"),
     # a byte that is not UTF-8 is a format error on its own line, after the
     # errors of the lines before it
