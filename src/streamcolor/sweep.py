@@ -157,55 +157,34 @@ def _cell_alpha(cell: SweepCell, meta) -> int:
 
 def _run_cell(cell: SweepCell, edges, meta) -> dict:
     """Execute one cell and return the sweep record (config + metrics)."""
-    stream = EdgeStream.from_edges(cell.n, edges)
     delta = meta.max_degree or 0
-    alpha = _cell_alpha(cell, meta)
-    config = {
-        "family": cell.family, "n": cell.n, "m": meta.m, "order": cell.order,
-        "gen_seed": cell.gen_seed, "algorithm": cell.algorithm,
-        "epsilon": cell.epsilon, "c": cell.c, "seed": cell.seed,
-        "delta": delta, "alpha": alpha,
-    }
+    config = {**asdict(cell), "m": meta.m, "delta": delta, "alpha": _cell_alpha(cell, meta)}
     if cell.algorithm == "delta":
-        try:
-            _, metrics = run_delta_coloring(
-                stream, delta, cell.epsilon, cell.c, cell.seed
-            )
-        except ColoringAborted as exc:
-            metrics = exc.metrics
-        failed = metrics.aborted
+        run, bound = run_delta_coloring, delta
     else:
-        try:
-            _, metrics = run_arboricity_coloring(
-                stream, alpha, cell.epsilon, cell.c, cell.seed
-            )
-        except PeelStalled as exc:
-            metrics = exc.metrics
-        failed = metrics.stalled
+        run, bound = run_arboricity_coloring, config["alpha"]
+    stream = EdgeStream.from_edges(cell.n, edges)
+    try:
+        _, metrics = run(stream, bound, cell.epsilon, cell.c, cell.seed)
+        failed = False
+    except (ColoringAborted, PeelStalled) as exc:
+        metrics, failed = exc.metrics, True
     return {"config": config, "metrics": asdict(metrics), "failed": failed}
 
 
 def _record_to_row(record: dict) -> dict:
-    cfg = record["config"]
-    met = record["metrics"]
-    failed = record["failed"]
+    """The CSV row: config and metrics columns read by name, then the bound check."""
+    cfg, met, failed = record["config"], record["metrics"], record["failed"]
     if cfg["algorithm"] == "delta":
-        bound = (1.0 + cfg["epsilon"]) * cfg["delta"]
-        alpha_field = ""
+        alpha, bound = "", (1.0 + cfg["epsilon"]) * cfg["delta"]
     else:
-        bound = (2.0 + cfg["epsilon"]) * cfg["alpha"]
-        alpha_field = cfg["alpha"]
-    within = "" if failed else str(met["colors_used"] <= bound).lower()
-    return {
-        "family": cfg["family"], "n": cfg["n"], "m": cfg["m"],
-        "alpha": alpha_field, "delta": cfg["delta"],
-        "epsilon": cfg["epsilon"], "c": cfg["c"], "seed": cfg["seed"],
-        "algorithm": cfg["algorithm"], "passes": met["passes"],
-        "colors_used": met["colors_used"], "bound": bound,
-        "within_bound": within,
-        "peak_stored_edges": met["peak_stored_edges"],
+        alpha, bound = cfg["alpha"], (2.0 + cfg["epsilon"]) * cfg["alpha"]
+    row = {
+        **met, **cfg, "alpha": alpha, "bound": bound,
+        "within_bound": "" if failed else str(met["colors_used"] <= bound).lower(),
         "aborted": str(bool(failed)).lower(),
     }
+    return {column: row[column] for column in CSV_COLUMNS}
 
 
 def run_sweep(doc: dict, out_dir: str | Path) -> Path:
