@@ -18,5 +18,7 @@ PHASE1 = 2
 
 def rng_for(seed: int, domain: int) -> np.random.Generator:
     """PCG64 generator for (seed, domain), independent across domains."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain,))
     return np.random.Generator(np.random.PCG64(ss))

@@ -14,7 +14,7 @@ from pathlib import Path
 from .arb_color import derive_config, run_arboricity_coloring
 from .core import EdgeStream
 from .corpus import GenSpec, generate
-from .delta_color import palette_size, run_delta_coloring, ColoringAborted
+from .delta_color import ColoringAborted, class_count, palette_size, run_delta_coloring
 from .peel import PeelStalled
 
 CSV_COLUMNS = [
@@ -95,8 +95,8 @@ def _finite(value, key: str) -> float:
 
 def expand_spec(doc: dict) -> list[SweepCell]:
     """Cross the grid: epsilon, c and seed entries may be scalars or lists.
-    The derived r, and ell given alpha, need no graph, so an overflow of
-    either is rejected here, before any cell runs."""
+    A negative seed, and an overflow of the derived r, or of ell given alpha,
+    need no graph, so they are rejected here, before any cell runs."""
     if not isinstance(doc, dict):
         raise ValueError("a sweep spec must be a JSON object")
     runs = doc.get("runs", [])
@@ -124,6 +124,9 @@ def expand_spec(doc: dict) -> list[SweepCell]:
             seeds = list(range(start, start + count))
         else:
             seeds = _grid(run, "seeds", INT, 0)
+        for seed in (gen_seed, *seeds):
+            if seed < 0:
+                raise ValueError(f"seed must be a non-negative integer, got {seed}")
         for epsilon in _grid(run, "epsilon", NUMBER, 0.5):
             epsilon = _finite(epsilon, "epsilon")
             for c in _grid(run, "c", NUMBER, 1.0):
@@ -190,9 +193,9 @@ def _record_to_row(record: dict) -> dict:
 def run_sweep(doc: dict, out_dir: str | Path) -> Path:
     """Run (or resume) every cell; returns the path of the summary CSV.
 
-    A bad spec, a graph that cannot be generated, or an arb cell whose ell
-    overflows for its graph's alpha is rejected before the output directory
-    is made, so it leaves nothing behind."""
+    A bad spec, a graph that cannot be generated, or a cell whose ell
+    overflows for its graph's max degree or alpha is rejected before the
+    output directory is made, so it leaves nothing behind."""
     cells = expand_spec(doc)
     out = Path(out_dir)
     graph_cache: dict[GenSpec, tuple] = {}
@@ -202,8 +205,11 @@ def run_sweep(doc: dict, out_dir: str | Path) -> Path:
         spec = cell.genspec()
         if spec not in graph_cache:
             graph_cache[spec] = generate(spec)
-        if cell.algorithm == "arb" and cell.alpha is None:  # expand_spec checked the others
-            derive_config(cell.n, _cell_alpha(cell, graph_cache[spec][1]), cell.epsilon, cell.c)
+        meta = graph_cache[spec][1]
+        if cell.algorithm == "delta":
+            class_count(cell.n, meta.max_degree or 0, cell.epsilon, cell.c)
+        else:
+            derive_config(cell.n, _cell_alpha(cell, meta), cell.epsilon, cell.c)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for cell in cells:

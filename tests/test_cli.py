@@ -262,6 +262,7 @@ def test_sweep_bad_run_parameters_are_input_errors(tmp_path, capsys, key, value)
     # alpha comes from the generated graph, and so does the overflow of ell
     {"family": "gnm", "n": 64, "m": 200, "algorithm": "arb", "c": [1.0, 1e-308]},
     {"family": "forest-union", "n": 64, "algorithm": "arb"},  # no alpha: generate fails
+    {"family": "gnm", "n": 64, "m": 200, "algorithm": "delta", "c": [1.0, 1e-308]},  # so Delta
 ])
 def test_sweep_that_fails_on_a_graph_writes_nothing(tmp_path, capsys, run):
     path = tmp_path / "sweep.json"
@@ -270,6 +271,19 @@ def test_sweep_that_fails_on_a_graph_writes_nothing(tmp_path, capsys, run):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gen", "--family", "cycle", "--n", "5"], id="gen"),
+    pytest.param(["color-delta", "-i", "{k4}", "--epsilon", "0.5"], id="color-delta"),
+    pytest.param(["color-arb", "-i", "{k4}", "--alpha", "2", "--epsilon", "0.5"], id="color-arb"),
+])
+def test_negative_seed_is_an_input_error(k4_path, tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    argv = [a.format(k4=k4_path) for a in argv]
+    assert main([*argv, "--seed", "-1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 def test_color_delta_full_flow(k4_path, tmp_path, capsys):
@@ -579,6 +593,12 @@ def test_sweep_command(tmp_path, capsys):
                     "epsilon": "0.5"}]}, "'epsilon'"),
         ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
                     "c": [1.0, "2"]}]}, "'c'"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "seeds": [0, -1]}]}, "seed must be a non-negative integer, got -1"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "seeds": {"start": -2, "count": 3}}]}, "seed must be a non-negative"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "gen_seed": -1}]}, "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_sweep_malformed_spec_is_an_input_error(tmp_path, capsys, spec, key):

@@ -11,6 +11,7 @@ the constants in the same commit and says why.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -46,6 +47,16 @@ CASES = {
     "verify-improper": (
         ["verify", "-i", "{gnm}", "-c", "{mod3}"], 1, []),
 }
+
+SWEEP = {"runs": [
+    # seed 0 aborts at c 0.05; the second gnm takes alpha from its max degree;
+    # the cycle stalls at alpha 0
+    {"family": "gnm", "n": 200, "m": 1500, "gen_seed": 3, "algorithm": "delta",
+     "c": [0.05, 1.0], "seeds": [0, 2]},
+    {"family": "forest-union", "n": 300, "alpha": 4, "algorithm": "arb"},
+    {"family": "gnm", "n": 64, "m": 300, "algorithm": "arb"},
+    {"family": "cycle", "n": 6, "algorithm": "arb", "alpha": 0},
+]}
 
 GOLDEN = {
     "gen-forest": {
@@ -85,6 +96,23 @@ GOLDEN = {
     "verify-improper": {
         "stdout": "68dc9a01a06f92e05c0e820b2a9efcd09dde8efa9025ee29329f0ea4efd5ad8e",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "sweep": {
+        "cycle-n6-m0-a0-arb-e0.5-c1.0-g0-s0.json":
+            "6b906f4058974e2bd30011836384ee25c254a2f424a38d5eebc70005c2c89ecb",
+        "forest-union-n300-m0-a4-arb-e0.5-c1.0-g0-s0.json":
+            "295cccf88c853841fed6896242b28e0c1570732d8f8f39dd8c42d61ed70e9f08",
+        "gnm-n200-m1500-a0-delta-e0.5-c0.05-g3-s0.json":
+            "38685c8c119c771a46da030161393f6379ef68fc9b2cf12f60be749c4a7c938f",
+        "gnm-n200-m1500-a0-delta-e0.5-c0.05-g3-s2.json":
+            "8c8afb0b305419b7458880bdc873d13f13b28f86c9129ba52f4370f2e51b3b3b",
+        "gnm-n200-m1500-a0-delta-e0.5-c1.0-g3-s0.json":
+            "8ebb6591469a1cfe0df81932e84488442b28ecb38adf49f086608c56eabd2ad6",
+        "gnm-n200-m1500-a0-delta-e0.5-c1.0-g3-s2.json":
+            "9e419f3b48211dc87c138b54fe2fb7663146505fed49ca8727754358ae38792d",
+        "gnm-n64-m300-a0-arb-e0.5-c1.0-g0-s0.json":
+            "2cc4d19c274f41e996d8baf286cbf87116e677d422b10b5161964cafea8cbb07",
+        "summary.csv": "1bf991e71e942db95a562b8141f03f345077074f539455f14d35b855b402e9d0",
     },
 }
 
@@ -128,3 +156,13 @@ def test_cli_output_matches_golden(inputs, tmp_path, capsysbinary, case):
     for name in written:
         got[name] = sha((tmp_path / name).read_bytes())
     assert got == GOLDEN[case]
+
+
+def test_sweep_output_matches_golden(tmp_path, capsys):
+    # not a CASES row: the command prints the path of its temporary output
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps(SWEEP))
+    out = tmp_path / "out"
+    assert main(["sweep", "-s", str(spec), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'summary.csv'}\n"
+    assert {p.name: sha(p.read_bytes()) for p in out.iterdir()} == GOLDEN["sweep"]
