@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FAMILIES, ORDERS, StreamMeta, first_occurrences, pair_codes
+from .core import FAMILIES, ORDERS, StreamMeta, first_occurrences, id_dtype, pair_codes
 from .seeding import GEN, ORDER, rng_for
 
 
@@ -177,15 +177,18 @@ def _forest_union(n: int, alpha: int, rng: np.random.Generator) -> np.ndarray:
     Forest f draws 3n uniform candidate pairs (``integers(0, n, 3n)``, then
     ``integers(0, n - 1, 3n)`` shifted past the first endpoint, so no
     self-loops) and keeps each candidate whose endpoints no earlier candidate
-    has joined. Kruskal in draw order keeps exactly the minimum spanning
-    forest of the candidates weighted by draw index: the weights are distinct,
-    and of a repeated pair only the first, lighter copy can be kept. So
-    Borůvka rounds (``_min_spanning_forest``) find the same set. Each forest
-    runs on its own copy of the vertices (``f*n + x``), so one run grows all
-    alpha forests. The union keeps the first copy of each pair in forest-major
-    draw order. Deduplication only removes edges, so the union still splits
-    into at most alpha forests: arboricity is at most alpha. The draws and
-    that order are the seeded output, which ``tests/test_golden.py`` pins.
+    has joined. Each forest runs on its own copy of the vertices (``f*n + x``),
+    so one run grows all alpha forests. It takes each forest's candidates in
+    three stages of n, in draw order. A stage renames its candidates'
+    endpoints to the components the earlier stages left, and Borůvka rounds
+    (``_min_spanning_forest``) keep the minimum spanning forest of that
+    contracted graph, weighted by draw index. That is exactly what Kruskal in
+    draw order keeps from the stage: the weights are distinct, and of a
+    repeated pair only the first, lighter copy can be kept. The union keeps
+    the first copy of each pair in forest-major draw order. Deduplication only
+    removes edges, so the union still splits into at most alpha forests:
+    arboricity is at most alpha. The draws and that order are the seeded
+    output, which ``tests/test_golden.py`` pins.
     """
     if n < 1:
         raise ValueError("forest-union needs n >= 1")
@@ -194,46 +197,69 @@ def _forest_union(n: int, alpha: int, rng: np.random.Generator) -> np.ndarray:
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
     s = 3 * n
-    ends = np.empty((2, alpha * s), dtype=np.int64)  # candidate i's endpoints, offset by forest
+    # candidate ends, component labels and stage positions share one width;
+    # every one of them, and the stage's sentinel alpha*n, is below alpha*s
+    dtype = id_dtype(alpha * s)
+    ends = np.empty((2, alpha, s), dtype=dtype)  # offset by forest
     for f in range(alpha):
         a = rng.integers(0, n, size=s)
         b = rng.integers(0, n - 1, size=s)
-        ends[0, f * s : (f + 1) * s] = a + f * n
-        ends[1, f * s : (f + 1) * s] = b + (b >= a) + f * n
-    idx = np.flatnonzero(_min_spanning_forest(ends, alpha * n))
-    u, v = ends[:, idx] - (idx // s) * n
+        ends[0, f] = a + f * n
+        ends[1, f] = b + (b >= a) + f * n
+    kept = np.empty((alpha, s), dtype=bool)
+    label = np.arange(alpha * n, dtype=dtype)  # each vertex's component so far
+    count = alpha * n
+    for lo in range(0, s, n):
+        cu, cv = label[ends[:, :, lo : lo + n].reshape(2, -1)]
+        stage, comp, count = _min_spanning_forest(cu, cv, count)
+        kept[:, lo : lo + n] = stage.reshape(alpha, n)
+        label = comp[label]
+    idx = np.flatnonzero(kept)
+    u, v = ends.reshape(2, -1)[:, idx] - (idx // s) * n
     first = first_occurrences(pair_codes(u, v, n))
     return _pairs(u[first], v[first])
 
 
-def _min_spanning_forest(ends: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the minimum spanning forest of edges ``ends[:, i]`` weighing i.
+def _min_spanning_forest(
+    cu: np.ndarray, cv: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The minimum spanning forest of edges ``(cu[i], cv[i])`` weighing i, on
+    vertices [0, n): its mask over the edges, each vertex's component in
+    [0, count), and count.
 
     Borůvka: each round drops the edges inside a component, keeps each
-    component's lightest leaving edge and merges along the kept edges. The
-    live edges' endpoints are renamed to their component roots as it goes.
+    component's lightest leaving edge, merges along the kept edges and
+    numbers the merged components from 0. The live edges' endpoints are
+    renamed as it goes. Positions and ids stay at ``cu.dtype``, which must
+    hold ``len(cu)``. Parallel edges and self-loops are allowed.
     """
-    kept = np.zeros(ends.shape[1], dtype=bool)
-    live = np.arange(ends.shape[1])  # ascending, so position order is weight order
-    cu, cv = ends
+    dtype = cu.dtype
+    kept = np.zeros(len(cu), dtype=bool)
+    live = np.arange(len(cu), dtype=dtype)  # ascending, so position order is weight order
+    comp = np.arange(n, dtype=dtype)
     for _ in range(n.bit_length() + 1):  # each round at least halves the merging components
         cross = cu != cv
         live, cu, cv = live[cross], cu[cross], cv[cross]
         if len(live) == 0:
-            return kept
-        best = np.full(n, len(live))
-        pos = np.arange(len(live))
+            return kept, comp, n
+        best = np.full(n, len(live), dtype=dtype)
+        pos = np.arange(len(live), dtype=dtype)
         np.minimum.at(best, cu, pos)
         np.minimum.at(best, cv, pos)
         roots = np.flatnonzero(best < len(live))
         pick = best[roots]
         kept[live[pick]] = True
-        hook = np.arange(n)
+        hook = np.arange(n, dtype=dtype)
         hook[roots] = np.where(cu[pick] == roots, cv[pick], cu[pick])
         # two components that picked the same edge point at each other
         mutual = (hook[hook[roots]] == roots) & (roots < hook[roots])
         hook[roots[mutual]] = roots[mutual]
         while not np.array_equal(jumped := hook[hook], hook):
             hook = jumped
+        top = hook == np.arange(n, dtype=dtype)
+        # wraps below the first root, but only roots are looked up in it
+        hook = (np.cumsum(top, dtype=dtype) - 1)[hook]
+        n = int(np.count_nonzero(top))
+        comp = hook[comp]
         cu, cv = hook[cu], hook[cv]
     raise RuntimeError("Borůvka rounds did not finish")

@@ -95,8 +95,9 @@ def _finite(value, key: str) -> float:
 
 def expand_spec(doc: dict) -> list[SweepCell]:
     """Cross the grid: epsilon, c and seed entries may be scalars or lists.
-    A negative seed, and an overflow of the derived r, or of ell given alpha,
-    need no graph, so they are rejected here, before any cell runs."""
+    A negative seed or seed count, an overflow of the derived r, or of ell
+    given alpha, and two different cells with one record file need no graph,
+    so they are rejected here, before any cell runs."""
     if not isinstance(doc, dict):
         raise ValueError("a sweep spec must be a JSON object")
     runs = doc.get("runs", [])
@@ -121,6 +122,8 @@ def expand_spec(doc: dict) -> list[SweepCell]:
             count = _require(seeds, "count", "a 'seeds' range")
             if type(start) is not int or type(count) is not int:
                 raise ValueError(f"a 'seeds' range needs integer 'start' and 'count': {seeds!r}")
+            if count < 0:
+                raise ValueError(f"a 'seeds' range's 'count' must be non-negative, got {count}")
             seeds = list(range(start, start + count))
         else:
             seeds = _grid(run, "seeds", INT, 0)
@@ -148,6 +151,13 @@ def expand_spec(doc: dict) -> list[SweepCell]:
                         c=c,
                         seed=seed,
                     ))
+    by_slug: dict[str, SweepCell] = {}
+    for cell in cells:
+        if by_slug.setdefault(cell.slug(), cell) != cell:
+            raise ValueError(
+                f"two different sweep cells would share the record {cell.slug()}.json"
+                " (an absent 'alpha' or 'm' is written as 0)"
+            )
     return cells
 
 

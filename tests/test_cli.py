@@ -599,6 +599,8 @@ def test_sweep_command(tmp_path, capsys):
                     "seeds": {"start": -2, "count": 3}}]}, "seed must be a non-negative"),
         ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
                     "gen_seed": -1}]}, "seed must be a non-negative integer, got -1"),
+        ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
+                    "seeds": {"start": 0, "count": -3}}]}, "'count' must be non-negative"),
     ],
 )
 def test_sweep_malformed_spec_is_an_input_error(tmp_path, capsys, spec, key):
@@ -610,6 +612,20 @@ def test_sweep_malformed_spec_is_an_input_error(tmp_path, capsys, spec, key):
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_cells_sharing_a_record_file_are_an_input_error(tmp_path, capsys):
+    # an absent alpha is written as 0 in the record's name
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"runs": [
+        {"family": "cycle", "n": 6, "algorithm": "arb", "alpha": 0},
+        {"family": "cycle", "n": 6, "algorithm": "arb"},
+    ]}))
+    out = tmp_path / "out"
+    assert main(["sweep", "-s", str(spec), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cycle-n6-m0-a0-arb-e0.5-c1.0-g0-s0.json" in err
+    assert not out.exists()
 
 
 def test_sweep_requires_output_dir(tmp_path, capsys):

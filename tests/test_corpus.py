@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamcolor import EdgeStream, GenSpec, generate, shuffle_order
-from streamcolor.corpus import _forest_union, _gnm
+from streamcolor.corpus import _forest_union, _gnm, _min_spanning_forest
 from streamcolor.oracle import degeneracy, nash_williams_arboricity
 from streamcolor.seeding import GEN, rng_for
 
@@ -246,10 +246,71 @@ def assert_forest_union_matches_reference(n: int, alpha: int, seed: int) -> None
         (2000, 6, 3),        # the golden instance's size
         (1000, 40, 9),
         (8192, 32, 202),     # the forest-arb bench instance
+        # alpha*3n candidates on each side of an id width
+        (85, 1, 11),         # 255: uint8
+        (43, 2, 12),         # 258: uint16
+        (21845, 1, 13),      # 65535: uint16
+        (21846, 1, 14),      # 65538: uint32
+        # a stage of alpha*n candidates whose Borůvka sentinel, alpha*n,
+        # is one past the largest id of id_dtype(alpha*n)
+        (256, 1, 15),
+        (65536, 1, 16),
     ],
 )
 def test_forest_union_matches_kruskal_reference(n, alpha, seed):
     assert_forest_union_matches_reference(n, alpha, seed)
+
+
+def kruskal_step_reference(cu: list[int], cv: list[int], n: int) -> tuple[list[bool], list[int]]:
+    """Kruskal over edges (cu[i], cv[i]) in index order: the kept mask and
+    each vertex's root."""
+    parent = list(range(n))
+    kept = []
+    for x, y in zip(cu, cv):
+        rx, ry = _find(parent, x), _find(parent, y)
+        kept.append(rx != ry)
+        parent[rx] = ry
+    return kept, [_find(parent, x) for x in range(n)]
+
+
+def assert_step_matches_kruskal(cu: list[int], cv: list[int], n: int, dtype):
+    kept, comp, count = _min_spanning_forest(
+        np.array(cu, dtype=dtype), np.array(cv, dtype=dtype), n
+    )
+    want_kept, roots = kruskal_step_reference(cu, cv, n)
+    assert kept.tolist() == want_kept
+    assert comp.dtype == dtype
+    # components numbered 0..count-1, grouping the vertices as Kruskal does
+    assert sorted(set(comp.tolist())) == list(range(count))
+    assert count == len(set(roots))
+    assert len(set(zip(comp.tolist(), roots))) == count
+    return kept, comp, count
+
+
+# vertices 0..7 of a contracted stage: 0 and 1 (and 2 and 3) pick the same
+# lightest edge, edges 3 and 5 repeat edges 1 and 0 (one reversed), edges 4
+# and 8 are self-loops and vertex 7 has no edge; the first round leaves
+# {0, 1, 4} and {2, 3, 5}, and edge 2 joins them in the second
+CONTRACTED = ([0, 2, 1, 3, 4, 0, 5, 4, 6], [1, 3, 2, 2, 4, 1, 3, 0, 6], 8)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+def test_boruvka_step_matches_kruskal_on_a_contracted_multigraph(dtype):
+    kept, comp, count = assert_step_matches_kruskal(*CONTRACTED, dtype)
+    assert np.flatnonzero(kept).tolist() == [0, 1, 2, 6, 7]
+    assert count == 3
+    assert len(set(comp[[0, 1, 2, 3, 4, 5]].tolist())) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+)
+def test_boruvka_step_matches_kruskal_property(n, pairs):
+    cu = [x % n for x, _ in pairs]
+    cv = [y % n for _, y in pairs]
+    assert_step_matches_kruskal(cu, cv, n, np.uint8)
 
 
 @settings(max_examples=200, deadline=None)

@@ -58,6 +58,14 @@ def test_expand_scalar_seed():
     assert [cell.seed for cell in cells] == [4]
 
 
+def test_expand_keeps_a_repeated_cell():
+    # equal cells share a record file; only different cells sharing one fail
+    cells = expand_spec({
+        "runs": [{"family": "star", "n": 8, "algorithm": "delta", "seeds": [4, 4]}],
+    })
+    assert cells[0] == cells[1]
+
+
 def test_expand_integer_epsilon_and_c():
     cells = expand_spec({
         "runs": [{"family": "star", "n": 8, "algorithm": "delta", "epsilon": 1, "c": [2]}],
