@@ -36,7 +36,6 @@ _MODULE_OF = {
     "RepeatCounts": "oracle",
     "StreamFormatError": "core",
     "StreamMeta": "core",
-    "build_phase1": "delta_color",
     "class_count": "delta_color",
     "degeneracy": "oracle",
     "derive_config": "arb_color",

@@ -124,8 +124,14 @@ def run_arboricity_coloring(
     part = PhasePartition.draw(n, cfg.ell, seed)
     ps = PeelState(n, alpha, cfg.gamma)
     before = stream.pass_count
-    m = stream.m
     codes = [np.empty(0, dtype=id_dtype(n * n))]  # so an edgeless stream concatenates
+
+    def metrics(**outcome) -> ArbRunMetrics:
+        return ArbRunMetrics(
+            n=n, m=stream.m, ell=cfg.ell, k=ps.rounds, passes=stream.pass_count - before,
+            peak_stored_edges=peak_stored_edges, seed=seed, **outcome,
+        )
+
     try:
         # pass 1 collects the same-class edges and counts peel round 1
         for u, v in stream.pass_chunks():
@@ -143,23 +149,16 @@ def run_arboricity_coloring(
         while ps.active_count:
             ps.run_round(stream)
     except PeelStalled as exc:
-        exc.metrics = ArbRunMetrics(
-            n=n, m=m, ell=cfg.ell, k=ps.rounds, passes=stream.pass_count - before,
-            colors_used=0, per_class_out_degree=[],
-            peak_stored_edges=peak_stored_edges, stalled=True, seed=seed,
-        )
+        exc.metrics = metrics(colors_used=0, per_class_out_degree=[], stalled=True)
         raise
     lp = ps.partition()
     width = id_dtype(n)
     u, v = (stored // n).astype(width), (stored % n).astype(width)
     del stored  # u and v hold the edges now; free the codes before the offline stage
     coloring, out_degrees = offline_dag_color(u, v, lp, part)
-    metrics = ArbRunMetrics(
-        n=n, m=m, ell=cfg.ell, k=lp.k, passes=stream.pass_count - before,
-        colors_used=coloring.colors_used, per_class_out_degree=out_degrees,
-        peak_stored_edges=peak_stored_edges, stalled=False, seed=seed,
+    return coloring, metrics(
+        colors_used=coloring.colors_used, per_class_out_degree=out_degrees, stalled=False
     )
-    return coloring, metrics
 
 
 def out_degree_profile(

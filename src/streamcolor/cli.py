@@ -180,17 +180,18 @@ def cmd_maxdeg(args) -> int:
     return 0
 
 
-def cmd_color_delta(args) -> int:
-    from .delta_color import ColoringAborted, run_delta_coloring
+def _color(args, run, bound, failure, word: str, detail: str) -> int:
+    """Open the input, measure a ``None`` bound as the max degree, and run.
 
+    A ``failure`` prints ``{word}: ...``, writes the partial metrics and
+    returns 3; ``detail`` names the metrics field shown after ell."""
     stream = open_stream(args.input)
-    delta = args.delta if args.delta is not None else measure_max_degree(stream)
+    if bound is None:
+        bound = measure_max_degree(stream)
     try:
-        coloring, metrics = run_delta_coloring(
-            stream, delta, args.epsilon, args.c, args.seed
-        )
-    except ColoringAborted as exc:
-        print(f"abort: {exc}", file=sys.stderr)
+        coloring, metrics = run(stream, bound, args.epsilon, args.c, args.seed)
+    except failure as exc:
+        print(f"{word}: {exc}", file=sys.stderr)
         if args.metrics:
             _write_json(args.metrics, asdict(exc.metrics))
         return 3
@@ -199,9 +200,15 @@ def cmd_color_delta(args) -> int:
         _write_json(args.metrics, asdict(metrics))
     print(
         f"colored n={metrics.n} m={metrics.m} with {metrics.colors_used} colors "
-        f"(ell={metrics.ell}, r={metrics.r}, passes={metrics.passes})"
+        f"(ell={metrics.ell}, {detail}={getattr(metrics, detail)}, passes={metrics.passes})"
     )
     return 0
+
+
+def cmd_color_delta(args) -> int:
+    from .delta_color import ColoringAborted, run_delta_coloring
+
+    return _color(args, run_delta_coloring, args.delta, ColoringAborted, "abort", "r")
 
 
 def cmd_peel(args) -> int:
@@ -222,24 +229,7 @@ def cmd_color_arb(args) -> int:
     from .arb_color import run_arboricity_coloring
     from .peel import PeelStalled
 
-    stream = open_stream(args.input)
-    try:
-        coloring, metrics = run_arboricity_coloring(
-            stream, args.alpha, args.epsilon, args.c, args.seed
-        )
-    except PeelStalled as exc:
-        print(f"stall: {exc}", file=sys.stderr)
-        if args.metrics:
-            _write_json(args.metrics, asdict(exc.metrics))
-        return 3
-    write_coloring_file(args.output, coloring)
-    if args.metrics:
-        _write_json(args.metrics, asdict(metrics))
-    print(
-        f"colored n={metrics.n} m={metrics.m} with {metrics.colors_used} colors "
-        f"(ell={metrics.ell}, k={metrics.k}, passes={metrics.passes})"
-    )
-    return 0
+    return _color(args, run_arboricity_coloring, args.alpha, PeelStalled, "stall", "k")
 
 
 def cmd_verify(args) -> int:
@@ -294,6 +284,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _run_arguments(p: argparse.ArgumentParser, func) -> None:
+    """The arguments both coloring commands take after their input and bound."""
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--c", type=float, default=DEFAULT_C)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-o", "--output", required=True, help="coloring file")
+    p.add_argument("--metrics", default=None, help="metrics JSON path")
+    p.set_defaults(func=func)
+
+
 @functools.cache  # static, and rebuilding it costs about 1 ms per main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -320,12 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--delta", type=int, default=None,
                    help="max-degree upper bound (measured in an extra pass when omitted)")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--c", type=float, default=DEFAULT_C)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True, help="coloring file")
-    p.add_argument("--metrics", default=None, help="metrics JSON path")
-    p.set_defaults(func=cmd_color_delta)
+    _run_arguments(p, cmd_color_delta)
 
     p = sub.add_parser("peel", help="degree-peel into layers, one pass per round")
     p.add_argument("-i", "--input", required=True)
@@ -337,12 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color-arb", help="k-pass coloring within (2+eps)*alpha")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--alpha", type=int, required=True, help="arboricity upper bound")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--c", type=float, default=DEFAULT_C)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True, help="coloring file")
-    p.add_argument("--metrics", default=None, help="metrics JSON path")
-    p.set_defaults(func=cmd_color_arb)
+    _run_arguments(p, cmd_color_arb)
 
     p = sub.add_parser("verify", help="check a coloring file against an edge stream")
     p.add_argument("-i", "--input", required=True)

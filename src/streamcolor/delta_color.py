@@ -92,14 +92,6 @@ class PhasePartition:
         return out
 
 
-def build_phase1(
-    n: int, delta: int, epsilon: float, c: float, seed: int
-) -> tuple[PhasePartition, int]:
-    """The class split and r, the slots per class; class i owns colors (i-1)*r + 1 .. i*r."""
-    ell = class_count(n, delta, epsilon, c)
-    return PhasePartition.draw(n, ell, seed), palette_size(n, epsilon, c)
-
-
 class ColoringAborted(RuntimeError):
     """A vertex needed a slot but its stored class neighbors held all r.
 
@@ -201,7 +193,8 @@ def run_delta_coloring(
     its end before the replay finds that out.
     """
     n = stream.n
-    part, r = build_phase1(n, delta, epsilon, c, seed)
+    part = PhasePartition.draw(n, class_count(n, delta, epsilon, c), seed)
+    r = palette_size(n, epsilon, c)  # class i owns colors (i-1)*r + 1 .. i*r
     before = stream.pass_count
     # same-class occurrences at id width, 4 B each at n = 8192; palettes are
     # disjoint, so no other edge conflicts

@@ -20,7 +20,6 @@ from streamcolor import (
     GenSpec,
     LayerPartition,
     PhasePartition,
-    build_phase1,
     class_count,
     degeneracy,
     derive_config,
@@ -173,15 +172,16 @@ def test_criterion_5_class_degree_concentration():
         cap = (1 + 2 / EPSILON) * C * math.log2(4096)
         exceed = 0
         worst = 0
+        ell = class_count(4096, input_delta, EPSILON, C)
         for seed in range(200):
-            part, _ = build_phase1(4096, input_delta, EPSILON, C, seed)
+            part = PhasePartition.draw(4096, ell, seed)
             profile = mono_degree_profile(edges[:, 0], edges[:, 1], part)
             top = int(profile.max())
             worst = max(worst, top)
             exceed += top > cap
         assert exceed <= 10, f"{exceed}/200 seeds over the class-degree cap (worst {worst})"
         for seed in (0, 123):  # profile agrees with what a real run records
-            part, _ = build_phase1(4096, input_delta, EPSILON, C, seed)
+            part = PhasePartition.draw(4096, ell, seed)
             profile = mono_degree_profile(edges[:, 0], edges[:, 1], part)
             _, metrics = run_delta_coloring(
                 EdgeStream.from_edges(4096, edges), input_delta, EPSILON, C, seed

@@ -19,11 +19,12 @@ from streamcolor import (
     GenSpec,
     PeelStalled,
     PhasePartition,
-    build_phase1,
+    class_count,
     derive_config,
     generate,
     measure_forward_degree,
     measure_max_degree,
+    palette_size,
     peel,
     peel_threshold,
     repeat_counts,
@@ -175,7 +176,8 @@ def test_delta_coloring_same_at_every_chunk_size(at_chunk_sizes):
     assert all_equal(results)
     assignment, metrics, passes = results[0]
     assert metrics["ell"] > 1 and metrics["max_edge_cost"] > 1 and passes == 1
-    part, r = build_phase1(GNM.n, delta, 0.5, 0.2, seed=1)
+    part = PhasePartition.draw(GNM.n, class_count(GNM.n, delta, 0.5, 0.2), 1)
+    r = palette_size(GNM.n, 0.5, 0.2)
     reference = per_edge_delta_coloring(GNM.n, edges.tolist(), part.class_of.tolist(), r)
     assert assignment == reference
 

@@ -19,7 +19,6 @@ from streamcolor import (
     EdgeStream,
     GenSpec,
     PhasePartition,
-    build_phase1,
     class_count,
     generate,
     palette_size,
@@ -70,12 +69,10 @@ def test_parameter_validation():
         palette_size(4, 0.5, -1.0)
 
 
-def test_build_phase1_deterministic_and_in_range():
-    p1, r = build_phase1(256, 400, 0.5, 1.0, seed=5)
-    p2, _ = build_phase1(256, 400, 0.5, 1.0, seed=5)
-    p3, _ = build_phase1(256, 400, 0.5, 1.0, seed=6)
-    assert p1.ell == class_count(256, 400, 0.5, 1.0)
-    assert r == palette_size(256, 0.5, 1.0)
+def test_phase_partition_draw_deterministic_and_in_range():
+    ell = class_count(256, 400, 0.5, 1.0)
+    p1, p2, p3 = (PhasePartition.draw(256, ell, seed) for seed in (5, 5, 6))
+    assert p1.ell == ell
     assert p1.class_of.tobytes() == p2.class_of.tobytes()
     assert p1.class_of.tobytes() != p3.class_of.tobytes()
     assert p1.class_of.min() >= 1 and p1.class_of.max() <= p1.ell
@@ -168,7 +165,8 @@ def test_multi_class_run_discards_and_stays_in_palette():
     assert 0 < metrics.peak_stored_edges < metrics.m
     assert verify_proper(EdgeStream.from_edges(256, edges), coloring) == []
     # palette discipline: each vertex colors inside its own class block
-    part, r = build_phase1(256, meta.max_degree, 0.5, 0.5, seed=3)
+    part = PhasePartition.draw(256, class_count(256, meta.max_degree, 0.5, 0.5), 3)
+    r = palette_size(256, 0.5, 0.5)
     for v, color in enumerate(coloring.assignment):
         assert (color - 1) // r + 1 == int(part.class_of[v])
     assert coloring.colors_used <= metrics.ell * metrics.r
@@ -177,7 +175,7 @@ def test_multi_class_run_discards_and_stays_in_palette():
 
 def test_mono_degree_profile_matches_run_metrics():
     edges, meta = generate(GenSpec(family="gnm", n=256, m=4096, seed=9))
-    part, _ = build_phase1(256, meta.max_degree, 0.5, 0.5, seed=3)
+    part = PhasePartition.draw(256, class_count(256, meta.max_degree, 0.5, 0.5), 3)
     profile = mono_degree_profile(edges[:, 0], edges[:, 1], part)
     _, metrics = run_delta_coloring(
         EdgeStream.from_edges(256, edges), meta.max_degree, 0.5, 0.5, seed=3
@@ -239,8 +237,9 @@ def test_large_gnm_twenty_seeds_no_abort_all_proper():
     edges, meta = generate(spec)
     assert meta.max_degree >= 512
     r = palette_size(2**14, 0.5, 1.0)
+    ell = class_count(2**14, meta.max_degree, 0.5, 1.0)
     for seed in range(20):
-        part, _ = build_phase1(2**14, meta.max_degree, 0.5, 1.0, seed)
+        part = PhasePartition.draw(2**14, ell, seed)
         profile = mono_degree_profile(edges[:, 0], edges[:, 1], part)
         stream = EdgeStream.from_edges(2**14, edges)
         coloring, metrics = run_delta_coloring(stream, meta.max_degree, 0.5, 1.0, seed)
@@ -340,7 +339,8 @@ class SetReference:
 
 def set_reference_run(stream: EdgeStream, delta: int, epsilon: float, c: float, seed: int):
     """(assignment or None, abort forensics or None, metrics) of the reference."""
-    partition, r = build_phase1(stream.n, delta, epsilon, c, seed)
+    partition = PhasePartition.draw(stream.n, class_count(stream.n, delta, epsilon, c), seed)
+    r = palette_size(stream.n, epsilon, c)
     ref = SetReference(partition, r)
     try:
         for u, v in stream.pass_chunks():

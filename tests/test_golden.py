@@ -32,6 +32,9 @@ CASES = {
     "color-delta": (
         ["color-delta", "-i", "{gnm}", "--epsilon", "0.5", "--c", "0.4", "--seed", "3",
          "-o", "{out}/col", "--metrics", "{out}/met"], 0, ["col", "met"]),
+    "color-delta-abort": (
+        ["color-delta", "-i", "{gnm}", "--epsilon", "0.5", "--c", "0.01", "--seed", "3",
+         "-o", "{out}/col", "--metrics", "{out}/met"], 3, ["met"]),
     "color-arb": (
         ["color-arb", "-i", "{forest}", "--alpha", "6", *ARB,
          "-o", "{out}/col", "--metrics", "{out}/met"], 0, ["col", "met"]),
@@ -87,6 +90,11 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "col": "a2c5c5daec7281e819d35163ec7822ac51ba9bdc6fc0f7f219cefc32b8a1aba6",
         "met": "aef93fcac179c61bc2ecd0027974789728c6175fde4bef07fdd3d427c006ffb3",
+    },
+    "color-delta-abort": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "fbb56bfa8a3b3940eee8ea941ea64d604c933022a0dcc022c1a76786c9bc9e86",
+        "met": "8ee268e6b9c9a71989639d995dd0221b284e0f812b5e0a758d92d1a68178b14c",
     },
     "peel": {
         "stdout": "f3bd3566fc4b5ba31e076091e168a3fce34c88f83f51f815f88b46a8afadc0de",

@@ -24,7 +24,7 @@ from streamcolor import (
     EdgeStream,
     GenSpec,
     PeelStalled,
-    build_phase1,
+    class_count,
     core,
     generate,
     measure_max_degree,
@@ -133,7 +133,7 @@ def test_delta_run_peaks_under_66_bytes_per_stored_edge():
     # took 73 B per stored edge here, narrow ones 61 B, most of it the
     # replay's Python lists
     stream, delta = opened("gnm", 2000, m=40_000)
-    assert build_phase1(2000, delta, 0.5, 1.0, 0)[0].ell == 2
+    assert class_count(2000, delta, 0.5, 1.0) == 2
     (_, metrics), peak = traced_peak(lambda: run_delta_coloring(stream, delta, 0.5, 1.0, seed=0))
     assert metrics.peak_stored_edges > 15_000
     assert peak / metrics.peak_stored_edges < 66
