@@ -26,7 +26,7 @@ from .core import (
     first_occurrences,
     measure_max_degree,
     open_stream,
-    read_pairs,
+    read_blocks,
 )
 from .oracle import (
     Coloring,
@@ -137,9 +137,9 @@ def write_coloring_file(path: str, coloring: Coloring) -> None:
 
 
 def read_coloring_file(path: str, n: int) -> Coloring:
-    seen = np.zeros(n, dtype=bool)  # the vertices of the blocks checked so far
-
-    def check(_head, vertex, _color, lines):
+    seen = np.zeros(n, dtype=bool)  # the vertices of the blocks read so far
+    assignment = np.empty(n, dtype=np.int64)
+    for _, vertex, color, lines in read_blocks(Path(path), False):
         twice = np.ones(len(vertex), dtype=bool)
         twice[first_occurrences(vertex)] = False
         inside = (vertex >= 0) & (vertex < n)
@@ -152,13 +152,11 @@ def read_coloring_file(path: str, n: int) -> Coloring:
                 message = f"vertex {vertex[i]} is colored twice"
             raise StreamFormatError(message, lines[i])
         seen[vertex] = True
-
-    _, vertex, color = read_pairs(Path(path), False, check)
-    if len(vertex) < n:
+        assignment[vertex] = color
+    if not seen.all():
         raise ValueError(f"coloring missing a vertex: first missing id {int(seen.argmin())}")
-    assignment = np.empty(n, dtype=np.int64)
-    assignment[vertex] = color
-    return Coloring(assignment=assignment.tolist(), palette_size=int(color.max()) + 1 if n else 0)
+    palette_size = int(assignment.max()) + 1 if n else 0
+    return Coloring(assignment=assignment.tolist(), palette_size=palette_size)
 
 
 def cmd_gen(args) -> int:
@@ -279,6 +277,8 @@ def cmd_sweep(args) -> int:
     out_dir = args.output or doc.get("output_dir")
     if not out_dir:
         raise ValueError("sweep needs an output directory (-o or 'output_dir' in the spec)")
+    if not isinstance(out_dir, str):
+        raise ValueError(f"a sweep spec's 'output_dir' must be a string, got {out_dir!r}")
     csv_path = run_sweep(doc, out_dir)
     print(f"wrote {csv_path}")
     return 0

@@ -31,19 +31,18 @@ from __future__ import annotations
 import array
 import io
 import math
-import os
 import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63 - 1: no accepted number overflows int64
 _INT64_MAX = 2**63 - 1
-BLOCK = 1 << 17  # bytes per block of read_pairs
-MAX_LINE = BLOCK  # bytes per line of read_pairs, its line end included
+BLOCK = 1 << 17  # bytes per block of read_blocks
+MAX_LINE = BLOCK  # bytes per line of read_blocks, its line end included
 MAX_PAIR_N = 3_037_000_499  # largest n with n*n <= 2**63 - 1: every min*n+max fits
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what "surrogateescape" makes of a bad byte
 _LINE_END = re.compile(rb"\r\n?|\n")
@@ -140,13 +139,27 @@ def open_stream(path) -> EdgeStream:
     File format: first non-comment line is ``<n> <m>`` (m may be 0 when
     unknown), then one ``<u> <v>`` edge per line; ``#`` starts a comment.
     Parsing validates eagerly and reports the offending line; the validation
-    read is part of opening and does not count as a pass.
+    read is part of opening and does not count as a pass. Each block is
+    checked, then stored at ``id_dtype(n)`` in arrays presized from m, capped
+    at one pair per 4 bytes of file (the shortest pair line; 0 for a pipe),
+    and grown by doubling, so the scratch is a few blocks.
     """
-    (n, declared_m), u, v = read_pairs(
-        Path(path), True, lambda head, u, v, lines: check_edges(head[0], u, v, lines)
-    )
-    if declared_m and len(u) != declared_m:
-        raise StreamFormatError(f"header declares m={declared_m} but file has {len(u)} edges")
+    u, v, count = None, None, 0
+    for (n, m), a, b, lines in read_blocks(Path(path), True):
+        check_edges(n, a, b, lines)
+        if u is None:  # the header's block, which comes first
+            cap = min(m, Path(path).stat().st_size // 4)
+            u, v = np.empty(cap, id_dtype(n)), np.empty(cap, id_dtype(n))
+        if count + len(a) > len(u):
+            cap = max(2 * len(u), count + len(a))
+            u, v = _resized(u, count, cap), _resized(v, count, cap)
+        u[count : count + len(a)] = a
+        v[count : count + len(a)] = b
+        count += len(a)
+    if len(u) != count:
+        u, v = _resized(u, count, count), _resized(v, count, count)
+    if m and count != m:
+        raise StreamFormatError(f"header declares m={m} but file has {count} edges")
     return EdgeStream(n, u, v)
 
 
@@ -161,27 +174,23 @@ def check_edges(n: int, u: np.ndarray, v: np.ndarray, lines: Sequence[int] | Non
         raise StreamFormatError(message, None if lines is None else lines[i])
 
 
-def read_pairs(path: Path, header: bool, check: Callable[..., None]):
+def read_blocks(path: Path, header: bool) -> Iterator[tuple]:
     """Read a file of ``<a> <b>`` int64 pairs, after an ``<n> <m>`` line when
-    ``header``, as (header or None, a, b). The file is opened once and read
+    ``header``, as one ``(header or None, a, b, lines)`` per block that holds
+    pairs or the header, ``lines[i]`` the line of pair i; the header's block
+    comes first, even when it holds no pair. The file is opened once and read
     front to back, so a pipe works, in reads of ``BLOCK`` bytes. Each read is
     cut after its last line end (``\n``, ``\r\n`` or a lone ``\r``) into a
     block, and the unfinished line carries into the next read; a final ``\r``
     is held back, since it may start a ``\r\n``. numpy tokenizes a plain
     block, a line scan any other. A line of more than ``MAX_LINE`` bytes, its
     line end included, is an error on its own line, so a block holds at most
-    ``BLOCK + MAX_LINE`` bytes. Each block's pairs pass ``check(head, a, b, lines)``,
-    ``lines[i]`` the line of pair i, before they are stored and before the
-    block's format error is raised, so the first error in the file is the one
-    raised. The pairs go straight into a and b: int64 without a header, else
-    ``id_dtype(n)``, so ``check`` must reject a value outside [0, n), and
-    presized from m, capped at one pair per 4 bytes of file (the shortest
-    pair line). Both grow by doubling, so the scratch is a few blocks.
+    ``BLOCK + MAX_LINE`` bytes. No value is checked against n, and a block's
+    format error is raised after its pairs are yielded, so a caller that
+    checks each block before it stores it raises the first error in the file.
     """
-    head, a, b, count, line = None, np.empty(0, np.int64), np.empty(0, np.int64), 0, 1
-    carry = b""
+    head, line, carry = None, 1, b""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe
         while data := carry + fh.read(BLOCK):
             if len(data) > len(carry):  # hold a final \r back: it may start a \r\n
                 cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
@@ -194,27 +203,15 @@ def read_pairs(path: Path, header: bool, check: Callable[..., None]):
             if block:  # else the carry is an unfinished line or one too long
                 want_header = header and head is None
                 found, vals, lines, line, error = _block_pairs(block, line, want_header)
-                if found is not None:
-                    head, cap, dtype = found, min(found[1], size // 4), id_dtype(found[0])
-                    a, b = np.empty(cap, dtype), np.empty(cap, dtype)
-                k = len(vals) // 2
-                if k:  # a block of comments may come before the header
-                    check(head, vals[0::2], vals[1::2], lines)
-                    if count + k > len(a):
-                        cap = max(2 * len(a), count + k)
-                        a, b = _resized(a, count, cap), _resized(b, count, cap)
-                    a[count : count + k] = vals[0::2]
-                    b[count : count + k] = vals[1::2]
-                    count += k
+                head = found or head  # found is the header or None
+                if len(vals) or found:  # else a block of comments
+                    yield head, vals[0::2], vals[1::2], lines
                 if error is not None:
                     raise error
             if len(carry) > MAX_LINE:
                 raise StreamFormatError(f"line longer than {MAX_LINE} bytes", line)
     if header and head is None:
         raise StreamFormatError("missing header line '<n> <m>'")
-    if len(a) != count:
-        a, b = _resized(a, count, count), _resized(b, count, count)
-    return head, a, b
 
 
 def _block_pairs(block: bytes, line: int, want_header: bool):

@@ -105,7 +105,7 @@ def expand_spec(doc: dict) -> list[SweepCell]:
         raise ValueError("a sweep spec's 'runs' must be a list of objects")
     cells: list[SweepCell] = []
     for run in runs:
-        family = _require(run, "family", "each sweep run")
+        family = _typed(_require(run, "family", "each sweep run"), "family", (str,))
         n = _typed(_require(run, "n", "each sweep run"), "n", INT)
         if "algorithm" not in run:
             raise ValueError("each sweep run needs an 'algorithm' (delta or arb)")
@@ -203,14 +203,20 @@ def _record_to_row(record: dict) -> dict:
 def run_sweep(doc: dict, out_dir: str | Path) -> Path:
     """Run (or resume) every cell; returns the path of the summary CSV.
 
-    A bad spec, a graph that cannot be generated, or a cell whose ell
-    overflows for its graph's max degree or alpha is rejected before the
-    output directory is made, so it leaves nothing behind."""
+    A bad spec, a damaged record, a graph that cannot be generated, or a cell
+    whose ell overflows for its graph's max degree or alpha is rejected
+    before any cell runs or the output directory is made."""
     cells = expand_spec(doc)
     out = Path(out_dir)
     graph_cache: dict[GenSpec, tuple] = {}
+    rows: dict[SweepCell, dict] = {}  # each cell's CSV row
     for cell in cells:
-        if (out / f"{cell.slug()}.json").exists():
+        path = out / f"{cell.slug()}.json"
+        if path.exists():
+            try:
+                rows[cell] = _record_to_row(json.loads(path.read_text(encoding="utf-8")))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"damaged sweep record {path}: {type(exc).__name__}: {exc}")
             continue
         spec = cell.genspec()
         if spec not in graph_cache:
@@ -221,21 +227,17 @@ def run_sweep(doc: dict, out_dir: str | Path) -> Path:
         else:
             derive_config(cell.n, _cell_alpha(cell, meta), cell.epsilon, cell.c)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
     for cell in cells:
-        metrics_path = out / f"{cell.slug()}.json"
-        if metrics_path.exists():
-            record = json.loads(metrics_path.read_text(encoding="utf-8"))
-        else:
+        if cell not in rows:
             edges, meta = graph_cache[cell.genspec()]
             record = _run_cell(cell, edges, meta)
-            metrics_path.write_text(
+            (out / f"{cell.slug()}.json").write_text(
                 json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8"
             )
-        rows.append(_record_to_row(record))
+            rows[cell] = _record_to_row(record)
     csv_path = out / "summary.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(rows[cell] for cell in cells)
     return csv_path

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from streamcolor import cli, corpus
 from streamcolor.cli import WRITE_CHUNK, main, read_coloring_file, write_pairs
 from streamcolor.corpus import GenSpec, generate
+from streamcolor.sweep import expand_spec
 
 K4_FILE = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -601,6 +602,8 @@ def test_sweep_command(tmp_path, capsys):
                     "gen_seed": -1}]}, "seed must be a non-negative integer, got -1"),
         ({"runs": [{"family": "complete", "n": 5, "algorithm": "delta",
                     "seeds": {"start": 0, "count": -3}}]}, "'count' must be non-negative"),
+        ({"runs": [{"family": ["gnm"], "n": 5, "m": 3, "algorithm": "delta"}]}, "'family'"),
+        ({"runs": [{"family": {"gnm": 1}, "n": 5, "m": 3, "algorithm": "delta"}]}, "'family'"),
     ],
 )
 def test_sweep_malformed_spec_is_an_input_error(tmp_path, capsys, spec, key):
@@ -633,3 +636,33 @@ def test_sweep_requires_output_dir(tmp_path, capsys):
     spec.write_text(json.dumps({"runs": []}))
     assert main(["sweep", "-s", str(spec)]) == 2
     assert "output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output_dir", [5, ["out"]])
+def test_sweep_output_dir_must_be_a_string(tmp_path, capsys, monkeypatch, output_dir):
+    monkeypatch.chdir(tmp_path)
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({
+        "runs": [{"family": "complete", "n": 5, "algorithm": "delta"}],
+        "output_dir": output_dir,
+    }))
+    assert main(["sweep", "-s", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'output_dir'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
+@pytest.mark.parametrize("damage", ["{}", "[]", "not json"])
+def test_sweep_resume_rejects_a_damaged_record(tmp_path, capsys, damage):
+    # the damaged record is the second cell's, so the first cell must not run
+    spec = {"runs": [{"family": "complete", "n": 5, "algorithm": "delta", "seeds": [0, 1]}]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    out.mkdir()
+    first, second = (out / f"{cell.slug()}.json" for cell in expand_spec(spec))
+    second.write_text(damage)
+    assert main(["sweep", "-s", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(second) in err
+    assert not first.exists() and not (out / "summary.csv").exists()

@@ -1,6 +1,6 @@
 """The two routes of pair-file parsing give the same results and errors.
 
-``read_pairs`` reads a file once, front to back, in blocks: it tokenizes a
+``read_blocks`` reads a file once, front to back, in blocks: it tokenizes a
 plain block with numpy and hands any other block to the line scan,
 ``_scan_block``, which carries the line number on. The reference is a
 forced scan of the whole file as one block: on any input, and at any block
@@ -234,8 +234,7 @@ def test_routes_agree_at_id_width_limits(tmp_path, n):
     edges = [(n - 1, 0), (1, n - 1), (n - 2, n - 1), (0, 1), (n - 1, n // 2)]
     path = tmp_path / "g.txt"
     path.write_text(f"{n} {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges))
-    head, a, _ = core.read_pairs(path, True, lambda *args: None)
-    assert head == (n, len(edges)) and a.dtype == core.id_dtype(n)
+    assert open_stream(path)._u.dtype == core.id_dtype(n)
     expected = n, len(edges), [e[0] for e in edges], [e[1] for e in edges]
     assert assert_same(path.read_bytes()) == expected
     assert outcome(lambda _: core.EdgeStream.from_edges(n, edges), path) == expected
