@@ -11,10 +11,6 @@ process loads only the modules it runs.
 
 import importlib
 
-# Eager: importing the submodule streamcolor.peel binds the package attribute
-# ``peel`` to that module, and this binding puts the function back.
-from .peel import peel
-
 __version__ = "0.1.0"
 
 _MODULE_OF = {
@@ -48,7 +44,6 @@ _MODULE_OF = {
     "offline_dag_color": "arb_color",
     "open_stream": "core",
     "palette_size": "delta_color",
-    "peel": "peel",
     "peel_threshold": "peel",
     "repeat_counts": "oracle",
     "run_arboricity_coloring": "arb_color",

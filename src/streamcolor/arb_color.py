@@ -167,8 +167,8 @@ def out_degree_profile(
     """Per-class max out-degree: the most same-class edges leaving one vertex.
 
     Orientation and layers are fixed by the graph; only the class draw is
-    random, so concentration sweeps evaluate this on the stream's edges
-    without a run. Each edge counts once per occurrence; on the run's
+    random, so this needs no run, only the stream's edges, each counted once
+    per occurrence. The tests, its only callers, check that on a run's
     deduplicated stored edges it gives ArbRunMetrics.per_class_out_degree.
     """
     key = lp.key()

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-# verify and the parser need only these; each other command imports its
-# own modules when it runs
+# the parser and every command need only core; each command imports its
+# other modules when it runs
 from .core import (
     DEFAULT_C,
     FAMILIES,
@@ -27,14 +27,6 @@ from .core import (
     measure_max_degree,
     open_stream,
     read_blocks,
-)
-from .oracle import (
-    Coloring,
-    degeneracy,
-    greedy_color,
-    nash_williams_arboricity,
-    repeat_counts,
-    verify_proper,
 )
 
 WRITE_CHUNK = 1 << 16  # pairs formatted per call
@@ -137,6 +129,8 @@ def write_coloring_file(path: str, coloring: Coloring) -> None:
 
 
 def read_coloring_file(path: str, n: int) -> Coloring:
+    from .oracle import Coloring
+
     seen = np.zeros(n, dtype=bool)  # the vertices of the blocks read so far
     assignment = np.empty(n, dtype=np.int64)
     for _, vertex, color, lines in read_blocks(Path(path), False):
@@ -231,6 +225,8 @@ def cmd_color_arb(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import verify_proper
+
     stream = open_stream(args.input)
     coloring = read_coloring_file(args.coloring, stream.n)
     violations = verify_proper(stream, coloring)
@@ -244,6 +240,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import degeneracy, greedy_color, nash_williams_arboricity, repeat_counts
+
     stream = open_stream(args.input)
     if args.which == "arboricity":
         print(nash_williams_arboricity(stream))

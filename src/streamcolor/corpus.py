@@ -108,10 +108,8 @@ def _complete(n: int) -> np.ndarray:
 
 
 def _star(n: int) -> np.ndarray:
-    if n < 2:
-        return np.empty((0, 2), dtype=np.int64)
     leaves = np.arange(1, n, dtype=np.int64)
-    return _pairs(np.zeros(n - 1, dtype=np.int64), leaves)
+    return _pairs(np.zeros_like(leaves), leaves)
 
 
 def _cycle(n: int) -> np.ndarray:
@@ -122,8 +120,6 @@ def _cycle(n: int) -> np.ndarray:
 
 
 def _path(n: int) -> np.ndarray:
-    if n < 2:
-        return np.empty((0, 2), dtype=np.int64)
     i = np.arange(n - 1, dtype=np.int64)
     return _pairs(i, i + 1)
 

@@ -230,8 +230,8 @@ def mono_degree_profile(
 
     This is the quantity the concentration tests sample over many seeds; it
     depends only on the graph and the class assignment, not on the online
-    recoloring, so sweeps can evaluate it without full runs. Cross-checked
-    against DeltaRunMetrics.per_class_degree in the test suite.
+    recoloring, so it needs no run. Only the tests call it, to cross-check
+    DeltaRunMetrics.per_class_degree; no sweep does yet.
     """
     same = partition.same(edges_u, edges_v)
     n = partition.n

@@ -161,24 +161,28 @@ def expand_spec(doc: dict) -> list[SweepCell]:
     return cells
 
 
-def _cell_alpha(cell: SweepCell, meta) -> int:
-    """The cell's alpha, else the certified bound from the graph's max degree."""
-    if cell.alpha is not None:
-        return cell.alpha
-    return math.ceil(((meta.max_degree or 0) + 1) / 2)
-
-
-def _run_cell(cell: SweepCell, edges, meta) -> dict:
-    """Execute one cell and return the sweep record (config + metrics)."""
-    delta = meta.max_degree or 0
-    config = {**asdict(cell), "m": meta.m, "delta": delta, "alpha": _cell_alpha(cell, meta)}
+def _config(cell: SweepCell, meta) -> dict:
+    """The cell's record config: its fields, the graph's m and max degree, and
+    the cell's alpha, else the certified bound from that max degree. A cell
+    whose ell overflows is rejected here."""
+    delta = meta.max_degree
+    alpha = math.ceil((delta + 1) / 2) if cell.alpha is None else cell.alpha
     if cell.algorithm == "delta":
-        run, bound = run_delta_coloring, delta
+        class_count(cell.n, delta, cell.epsilon, cell.c)
+    else:
+        derive_config(cell.n, alpha, cell.epsilon, cell.c)
+    return {**asdict(cell), "m": meta.m, "delta": delta, "alpha": alpha}
+
+
+def _run_cell(config: dict, edges) -> dict:
+    """Execute one cell and return the sweep record (config + metrics)."""
+    if config["algorithm"] == "delta":
+        run, bound = run_delta_coloring, config["delta"]
     else:
         run, bound = run_arboricity_coloring, config["alpha"]
-    stream = EdgeStream.from_edges(cell.n, edges)
+    stream = EdgeStream.from_edges(config["n"], edges)
     try:
-        _, metrics = run(stream, bound, cell.epsilon, cell.c, cell.seed)
+        _, metrics = run(stream, bound, config["epsilon"], config["c"], config["seed"])
         failed = False
     except (ColoringAborted, PeelStalled) as exc:
         metrics, failed = exc.metrics, True
@@ -209,6 +213,7 @@ def run_sweep(doc: dict, out_dir: str | Path) -> Path:
     cells = expand_spec(doc)
     out = Path(out_dir)
     graph_cache: dict[GenSpec, tuple] = {}
+    configs: dict[SweepCell, dict] = {}  # each cell still to run, with its record config
     rows: dict[SweepCell, dict] = {}  # each cell's CSV row
     for cell in cells:
         path = out / f"{cell.slug()}.json"
@@ -221,20 +226,14 @@ def run_sweep(doc: dict, out_dir: str | Path) -> Path:
         spec = cell.genspec()
         if spec not in graph_cache:
             graph_cache[spec] = generate(spec)
-        meta = graph_cache[spec][1]
-        if cell.algorithm == "delta":
-            class_count(cell.n, meta.max_degree or 0, cell.epsilon, cell.c)
-        else:
-            derive_config(cell.n, _cell_alpha(cell, meta), cell.epsilon, cell.c)
+        configs[cell] = _config(cell, graph_cache[spec][1])
     out.mkdir(parents=True, exist_ok=True)
-    for cell in cells:
-        if cell not in rows:
-            edges, meta = graph_cache[cell.genspec()]
-            record = _run_cell(cell, edges, meta)
-            (out / f"{cell.slug()}.json").write_text(
-                json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
-            rows[cell] = _record_to_row(record)
+    for cell, config in configs.items():
+        record = _run_cell(config, graph_cache[cell.genspec()][0])
+        (out / f"{cell.slug()}.json").write_text(
+            json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+        rows[cell] = _record_to_row(record)
     csv_path = out / "summary.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)

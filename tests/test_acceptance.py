@@ -30,7 +30,6 @@ from streamcolor import (
     nash_williams_arboricity,
     offline_dag_color,
     palette_size,
-    peel,
     peel_threshold,
     run_arboricity_coloring,
     run_delta_coloring,
@@ -39,6 +38,7 @@ from streamcolor import (
 from streamcolor.arb_color import out_degree_profile, per_class_out_bound
 from streamcolor.cli import main as cli_main
 from streamcolor.delta_color import mono_degree_profile
+from streamcolor.peel import peel
 
 EPSILON = 0.5
 C = 1.0

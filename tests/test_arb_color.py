@@ -20,12 +20,12 @@ from streamcolor import (
     measure_max_degree,
     nash_williams_arboricity,
     offline_dag_color,
-    peel,
     peel_threshold,
     run_arboricity_coloring,
     verify_proper,
 )
 from streamcolor.arb_color import out_degree_profile, per_class_out_bound
+from streamcolor.peel import peel
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 

@@ -25,7 +25,6 @@ from streamcolor import (
     measure_forward_degree,
     measure_max_degree,
     palette_size,
-    peel,
     peel_threshold,
     repeat_counts,
     run_arboricity_coloring,
@@ -33,6 +32,7 @@ from streamcolor import (
     verify_proper,
 )
 from streamcolor.core import pair_codes
+from streamcolor.peel import peel
 
 CHUNK_SIZES = (1, 7, None)  # None: the default chunk size
 

@@ -52,6 +52,9 @@ def test_star_family():
     assert meta.m == 7
     assert meta.max_degree == 7
     assert all(u == 0 for u, _ in edges.tolist())
+    for n in (0, 1):
+        edges, meta = generate(GenSpec(family="star", n=n))
+        assert edges.shape == (0, 2) and edges.dtype == np.int64 and meta.max_degree == 0
 
 
 def test_cycle_and_path_families():
@@ -61,6 +64,9 @@ def test_cycle_and_path_families():
     assert meta.m == 4 and meta.max_degree == 2
     with pytest.raises(ValueError, match="cycle needs n >= 3"):
         generate(GenSpec(family="cycle", n=2))
+    for n in (0, 1):
+        edges, meta = generate(GenSpec(family="path", n=n))
+        assert edges.shape == (0, 2) and edges.dtype == np.int64 and meta.max_degree == 0
 
 
 def test_petersen_family():
@@ -186,6 +192,8 @@ def test_forest_union_validation():
         generate(GenSpec(family="forest-union", n=10, alpha=0))
     with pytest.raises(ValueError, match="forest-union needs alpha"):
         generate(GenSpec(family="forest-union", n=10))
+    with pytest.raises(ValueError, match="n >= 1"):
+        generate(GenSpec(family="forest-union", n=0, alpha=2))
     edges, meta = generate(GenSpec(family="forest-union", n=1, alpha=2))
     assert meta.m == 0
 
@@ -330,6 +338,8 @@ def test_unknown_family_and_order():
         generate(GenSpec(family="path", n=4, order="shuffled"))
     with pytest.raises(ValueError, match="n must be non-negative"):
         generate(GenSpec(family="path", n=-1))
+    with pytest.raises(ValueError, match="unknown order"):
+        shuffle_order(np.zeros((1, 2), dtype=np.int64), "no-such-order", 0)
 
 
 def test_orders_preserve_edge_multiset():

@@ -26,25 +26,60 @@ def fresh_python(code: str) -> str:
     return done.stdout
 
 
-def test_cli_import_loads_only_what_verify_needs():
-    out = fresh_python(
-        "import sys, streamcolor.cli\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'streamcolor')))"
+# each command's streamcolor modules beyond streamcolor, .cli and .core
+# (README, Library); None is a bare ``import streamcolor.cli``
+LOADS = {
+    "import": (None, []),
+    "maxdeg": (["maxdeg", "-i", "{dir}/graph"], []),
+    "verify": (["verify", "-i", "{dir}/graph", "-c", "{dir}/coloring"], ["oracle"]),
+    "oracle": (["oracle", "greedy", "-i", "{dir}/graph"], ["oracle"]),
+    "peel": (["peel", "-i", "{dir}/graph", "--alpha", "1", "--gamma", "0.5", "-o", "{dir}/layers"],
+             ["peel"]),
+    "gen": (["gen", "--family", "path", "--n", "5", "-o", "{dir}/gen"], ["corpus", "seeding"]),
+    "color-delta": (["color-delta", "-i", "{dir}/graph", "--epsilon", "0.5", "-o", "{dir}/out"],
+                    ["delta_color", "oracle", "seeding"]),
+    "color-arb": (
+        ["color-arb", "-i", "{dir}/graph", "--alpha", "1", "--epsilon", "0.5", "-o", "{dir}/out"],
+        ["arb_color", "delta_color", "oracle", "peel", "seeding"],
+    ),
+    "sweep": (["sweep", "-s", "{dir}/spec.json", "-o", "{dir}/sweep"],
+              ["arb_color", "corpus", "delta_color", "oracle", "peel", "seeding", "sweep"]),
+}
+
+
+@pytest.mark.parametrize("command", LOADS)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    argv, modules = LOADS[command]
+    (tmp_path / "graph").write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")  # a 5-vertex path
+    (tmp_path / "coloring").write_text("0 0\n1 1\n2 0\n3 1\n4 0\n")
+    (tmp_path / "spec.json").write_text(
+        '{"runs": [{"family": "path", "n": 5, "algorithm": "delta"}]}'
     )
-    assert out.split() == [
-        "streamcolor", "streamcolor.cli", "streamcolor.core", "streamcolor.oracle",
-        "streamcolor.peel",
-    ]
-
-
-def test_peel_stays_the_function_after_its_module_is_imported_again():
-    # arb_color and sweep import the submodule streamcolor.peel
+    run = "" if argv is None else (
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert streamcolor.cli.main({[arg.format(dir=tmp_path) for arg in argv]!r}) == 0\n"
+    )
     out = fresh_python(
-        "import inspect, streamcolor.arb_color, streamcolor.sweep\n"
+        "import contextlib, io, sys, streamcolor.cli\n"
+        + run
+        + "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'streamcolor')))"
+    )
+    assert out.split() == sorted(
+        ["streamcolor", "streamcolor.cli", "streamcolor.core"]
+        + [f"streamcolor.{module}" for module in modules]
+    )
+
+
+def test_peel_is_the_module_before_and_after_its_importers_load():
+    # arb_color and sweep import from the submodule streamcolor.peel
+    out = fresh_python(
+        "import inspect\n"
         "from streamcolor import peel\n"
-        "print(inspect.isfunction(peel), peel.__module__)"
+        "import streamcolor.arb_color, streamcolor.sweep\n"
+        "from streamcolor import peel as again\n"
+        "print(inspect.ismodule(peel), again is peel, inspect.isfunction(peel.peel))"
     )
-    assert out.split() == ["True", "streamcolor.peel"]
+    assert out.split() == ["True", "True", "True"]
 
 
 def test_every_public_name_resolves_and_is_listed():

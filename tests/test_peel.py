@@ -19,9 +19,9 @@ from streamcolor import (
     generate,
     max_rounds_bound,
     measure_forward_degree,
-    peel,
     peel_threshold,
 )
+from streamcolor.peel import peel
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 STAR6_EDGES = [(0, i) for i in range(1, 6)]
