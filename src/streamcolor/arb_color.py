@@ -73,12 +73,15 @@ def offline_dag_color(
     # any order, since only the set of their colors matters
     start = np.concatenate(([0], np.cumsum(out))).tolist()
     del out
-    by_tail = tail.astype(id_dtype(n * n)) * n + head
-    del forward, tail, head  # the codes hold the edges now; free them before the object lists
+    by_tail = tail.astype(id_dtype(n * n), copy=False)  # where made tail a new array
+    del forward, tail
+    by_tail *= n
+    np.add(by_tail, head, out=by_tail, casting="unsafe")  # exact: every id is below n
+    del head  # the codes hold the edges now
     by_tail.sort()
-    heads = np.arange(n).astype(object)[by_tail % n]  # one shared int per vertex
+    by_tail %= n
+    heads = memoryview(by_tail.astype(id_dtype(n)))  # yields one int per head as read
     del by_tail
-    heads = heads.tolist()
     widths = out_degrees + 1
     first = (np.cumsum(widths) - widths)[part.class_of - 1].tolist()
     assignment = [-1] * n

@@ -21,8 +21,8 @@ counts the runs.
 
 Vertex ids stay at ``id_dtype(n)`` from the file to the stored edges: the
 stream keeps them at that width, and a pass yields views of them.
-``pair_codes`` is the one place that widens, since ``min * n`` would wrap at
-id width, and it narrows again: its codes are at ``id_dtype(n * n)``.
+``pair_codes`` builds its codes in place at ``id_dtype(n * n)``, which
+holds ``min * n`` where id width would wrap, so no step goes through int64.
 Indexing, compares and ``bincount`` work at any width.
 """
 
@@ -317,11 +317,16 @@ def measure_max_degree(stream: EdgeStream) -> int:
 def pair_codes(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """One code ``min*n+max`` per edge, equal for either endpoint order, at
     ``id_dtype(n * n)``, which holds every code of ids in [0, n). Ids of any
-    width go in; the product is taken in int64, so it never wraps."""
+    width go in. The codes are built in place at that width: no value on
+    the way exceeds n * n - 1, so nothing wraps."""
     if n > MAX_PAIR_N:
         raise ValueError(f"pair codes need n <= {MAX_PAIR_N}, so that they fit in int64")
-    codes = np.minimum(u, v).astype(np.int64, copy=False) * n + np.maximum(u, v)
-    return codes.astype(id_dtype(n * n), copy=False)
+    codes = np.minimum(u, v).astype(id_dtype(n * n), copy=False)  # minimum made a new array
+    codes *= n
+    # unsafe is exact here, as every id is below n; same_kind would refuse
+    # to add int64 ids into unsigned codes
+    np.add(codes, np.maximum(u, v), out=codes, casting="unsafe")
+    return codes
 
 
 def run_firsts(ordered: np.ndarray) -> np.ndarray:

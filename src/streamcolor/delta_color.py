@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import DEFAULT_C, EdgeStream, first_occurrences, id_dtype, pair_codes
 from .oracle import Coloring
-from .seeding import PHASE1, rng_for
+from .seeding import PHASE1, check_seed, rng_for
 
 
 def validate_run_params(n: int, bound_name: str, bound: int, epsilon: float, c: float) -> None:
@@ -73,8 +73,14 @@ class PhasePartition:
 
     @classmethod
     def draw(cls, n: int, ell: int, seed: int) -> PhasePartition:
-        """Each vertex's class, iid uniform over [1, ell], from the seed's PHASE1 stream."""
-        class_of = rng_for(seed, PHASE1).integers(1, ell + 1, size=n, dtype=np.int64)
+        """Each vertex's class, iid uniform over [1, ell], from the seed's PHASE1
+        stream. One class is the whole graph: that split draws nothing, so
+        numpy.random is never loaded for it."""
+        if ell == 1:
+            check_seed(seed)
+            class_of = np.ones(n, dtype=np.int64)
+        else:
+            class_of = rng_for(seed, PHASE1).integers(1, ell + 1, size=n, dtype=np.int64)
         return cls(ell=ell, class_of=class_of, seed=seed)
 
     @property
@@ -136,9 +142,9 @@ def replay(
     A pair's first occurrence stores it in both endpoints' neighbor lists;
     every occurrence, repeat or not, moves its first-listed endpoint to the
     smallest of the r slots no stored neighbor holds when the endpoints
-    share a slot. Classes partition the vertices, so one flat list holds
-    every class's stored graph: x's stored neighbors, in arrival order, are
-    nbr[start[x]:fill[x]], laid out from the distinct degrees.
+    share a slot. Classes partition the vertices, so one flat array at id
+    width holds every class's stored graph: x's stored neighbors, in arrival
+    order, are nbr[start[x]:fill[x]], laid out from the distinct degrees.
 
     Returns each vertex's slot and stored degree, the most neighbors plus
     slots examined on one edge, and the vertex that found no free slot, or
@@ -149,14 +155,15 @@ def replay(
     degree = np.bincount(u[first], minlength=n) + np.bincount(v[first], minlength=n)
     start = (np.cumsum(degree) - degree).tolist()
     fill = list(start)
-    nbr = [0] * int(degree.sum())
+    nbr = memoryview(np.zeros(int(degree.sum()), dtype=id_dtype(n)))
     slot = [1] * n  # every vertex starts on slot 1
     occ = [0] * (r + 1)  # slot occupancy scratch, stamp-cleared
     stamp = 0
     max_edge_cost = 0
     stuck = None
-    ids = np.arange(n).astype(object)  # one shared int per vertex, not one per entry
-    for a, b, fresh in zip(ids[u].tolist(), ids[v].tolist(), first.tolist()):
+    # memoryviews yield one int per edge as the loop reaches it, so no list
+    # of the edges is ever built
+    for a, b, fresh in zip(memoryview(u), memoryview(v), memoryview(first)):
         if fresh:
             nbr[fill[a]] = b
             fill[a] += 1

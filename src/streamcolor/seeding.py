@@ -16,9 +16,14 @@ ORDER = 1
 PHASE1 = 2
 
 
-def rng_for(seed: int, domain: int) -> np.random.Generator:
-    """PCG64 generator for (seed, domain), independent across domains."""
+def check_seed(seed: int) -> None:
+    """Reject a seed that no generator accepts, whether or not one is built."""
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+def rng_for(seed: int, domain: int) -> np.random.Generator:
+    """PCG64 generator for (seed, domain), independent across domains."""
+    check_seed(seed)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain,))
     return np.random.Generator(np.random.PCG64(ss))

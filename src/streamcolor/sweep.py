@@ -16,6 +16,7 @@ from .core import EdgeStream
 from .corpus import GenSpec, generate
 from .delta_color import ColoringAborted, class_count, palette_size, run_delta_coloring
 from .peel import PeelStalled
+from .seeding import check_seed
 
 CSV_COLUMNS = [
     "family", "n", "m", "alpha", "delta", "epsilon", "c", "seed", "algorithm",
@@ -128,8 +129,7 @@ def expand_spec(doc: dict) -> list[SweepCell]:
         else:
             seeds = _grid(run, "seeds", INT, 0)
         for seed in (gen_seed, *seeds):
-            if seed < 0:
-                raise ValueError(f"seed must be a non-negative integer, got {seed}")
+            check_seed(seed)
         for epsilon in _grid(run, "epsilon", NUMBER, 0.5):
             epsilon = _finite(epsilon, "epsilon")
             for c in _grid(run, "c", NUMBER, 1.0):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from streamcolor import (
     verify_proper,
 )
 from streamcolor.arb_color import out_degree_profile, per_class_out_bound
+from streamcolor.core import id_dtype
 from streamcolor.peel import peel
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -166,6 +168,49 @@ def test_offline_dag_color_ignores_endpoint_order(n, k, ell, data):
     coloring, out_degrees = expected
     assert all(coloring.assignment[a] != coloring.assignment[b] for a, b in edges)
     assert out_degrees == out_degree_profile(*chunk(*swapped), lp, part).tolist()
+
+
+def first_free_reference(edges, lp: LayerPartition, part: PhasePartition):
+    """offline_dag_color's (assignment, palette size, out-degrees) from
+    per-vertex out-neighbor sets, in plain Python."""
+    key, class_of = lp.key().tolist(), part.class_of.tolist()
+    out = [set() for _ in range(lp.n)]
+    for a, b in edges:
+        tail, head = (a, b) if key[a] < key[b] else (b, a)
+        out[tail].add(head)
+    widest = [0] * part.ell
+    for x, heads in enumerate(out):
+        widest[class_of[x] - 1] = max(widest[class_of[x] - 1], len(heads))
+    first = [sum(w + 1 for w in widest[:i]) for i in range(part.ell)]
+    assignment = [-1] * lp.n
+    for x in sorted(range(lp.n), key=key.__getitem__, reverse=True):
+        used = {assignment[w] for w in out[x]}
+        assignment[x] = next(c for c in itertools.count(first[class_of[x] - 1]) if c not in used)
+    return assignment, sum(w + 1 for w in widest), widest
+
+
+@pytest.mark.parametrize("n", [200, 3000, 70_000])  # uint8, uint16 and uint32 ids
+def test_offline_dag_color_equals_a_first_free_reference(n):
+    # a forest union on 200 vertices, half of them moved to the top ids below
+    # n, in three random layers and two classes; the distinct same-class edges
+    # go in at id width, and as read-only strided views of the same ids
+    edges, _ = generate(GenSpec(family="forest-union", n=200, alpha=4, seed=n))
+    edges = np.where(edges < 100, edges, edges + (n - 200))
+    rng = np.random.default_rng(n)
+    lp = LayerPartition(k=3, layer=rng.integers(1, 4, size=n).tolist(), threshold=0,
+                        witnessed_degree=[0] * n)
+    part = PhasePartition.draw(n, 2, seed=n)
+    edges = edges[part.same(edges[:, 0], edges[:, 1])]
+    edges = np.asarray(sorted({(min(a, b), max(a, b)) for a, b in edges.tolist()}))
+    u, v = edges.T.astype(id_dtype(n))
+    assert u.dtype.itemsize == {200: 1, 3000: 2, 70_000: 4}[n]
+    coloring, out_degrees = offline_dag_color(u, v, lp, part)
+    want = first_free_reference(edges.tolist(), lp, part)
+    assert (coloring.assignment, coloring.palette_size, out_degrees) == want
+    views = [np.repeat(x, 2)[::2] for x in (u, v)]
+    for view in views:
+        view.flags.writeable = False
+    assert offline_dag_color(*views, lp, part) == (coloring, out_degrees)
 
 
 def test_k4_trace():

@@ -381,6 +381,26 @@ def test_dedup_helpers_on_edge_inputs(values):
     assert first_occurrences(codes).tolist() == np.sort(index).tolist()
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+@pytest.mark.parametrize("n", [2, 16, 17, 256, 257, 65536, 65537, 2**32 + 1, MAX_PAIR_N])
+def test_pair_codes_equal_the_int64_formula_at_every_width(n, dtype):
+    # the codes are built in place at id_dtype(n * n); the largest ids the
+    # input dtype holds below n reach its top code, and int64 ids added into
+    # unsigned codes are what a same_kind add would refuse; past MAX_PAIR_N
+    # (2**32 + 1 is) no code width exists
+    top = min(n, int(np.iinfo(dtype).max) + 1)
+    ids = sorted({0, 1, top // 2, top - 2, top - 1})
+    u = np.asarray([a for a in ids for _ in ids], dtype=dtype)
+    v = np.asarray([b for _ in ids for b in ids], dtype=dtype)
+    if n > MAX_PAIR_N:
+        with pytest.raises(ValueError, match="pair codes need n <= 3037000499"):
+            pair_codes(u, v, n)
+        return
+    codes = pair_codes(u, v, n)
+    assert codes.dtype == core.id_dtype(n * n)
+    assert codes.tolist() == [min(a, b) * n + max(a, b) for a, b in zip(u.tolist(), v.tolist())]
+
+
 def test_pair_codes_ignore_endpoint_order_and_guard_int64():
     u = np.asarray([0, 5, 2], dtype=np.int64)
     v = np.asarray([5, 0, 3], dtype=np.int64)

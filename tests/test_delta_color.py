@@ -26,6 +26,7 @@ from streamcolor import (
     verify_proper,
 )
 from streamcolor import seeding
+from streamcolor.core import id_dtype
 from streamcolor.delta_color import DEFAULT_C, mono_degree_profile, replay
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -89,6 +90,13 @@ def test_phase_partition_draw_pins_the_phase1_stream(n, ell, seed):
     assert part.class_of.dtype == np.int64
     assert part.class_of.tobytes() == expected.tobytes()
     assert (part.n, part.ell, part.seed) == (n, ell, seed)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_phase_partition_draw_rejects_a_negative_seed(ell):
+    # one class draws nothing, yet takes the seeds a generator takes
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        PhasePartition.draw(5, ell, -1)
 
 
 def test_process_edge_discards_cross_class():
@@ -387,6 +395,10 @@ def test_replay_matches_set_reference(run):
     size: colorings, metrics, abort forensics and abort-time metrics."""
     n, edges, delta, epsilon, c, seed = run
     assume(class_count(n, delta, epsilon, c) > 1)
+    assert_replay_matches_set_reference(n, edges, delta, epsilon, c, seed)
+
+
+def assert_replay_matches_set_reference(n, edges, delta, epsilon, c, seed):
     default = EdgeStream.pass_chunks
     for k in (1, 7, None):
         chunked = default if k is None else functools.partialmethod(default, chunk_size=k)
@@ -395,3 +407,51 @@ def test_replay_matches_set_reference(run):
             want = set_reference_run(EdgeStream.from_edges(n, edges), delta, epsilon, c, seed)
         assert got == want
     event("aborted" if got[1] else "finished")
+
+
+@settings(max_examples=60, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
+@given(multigraph_run(), st.sampled_from([257, 65537]))
+def test_replay_matches_set_reference_at_wider_ids(run, wide):
+    """The same multigraphs with ids spread to both ends of [0, wide), so
+    the replay reads uint16 and uint32 ids; c is scaled so that c * log2 n,
+    and with it ell and r, stay about what they were at the small n."""
+    n, edges, delta, epsilon, c, seed = run
+    spread = [x if x < n // 2 else x + wide - n for x in range(n)]
+    edges = [(spread[a], spread[b]) for a, b in edges]
+    c *= math.log2(n) / math.log2(wide)
+    assume(class_count(wide, delta, epsilon, c) > 1)
+    assert_replay_matches_set_reference(wide, edges, delta, epsilon, c, seed)
+
+
+@settings(max_examples=100, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
+@given(multigraph_run())
+def test_replay_matches_set_reference_with_one_class(run):
+    """The one-class split, which draws nothing, against the reference:
+    every edge is same-class, so every edge reaches the replay."""
+    n, edges, delta, epsilon, c, seed = run
+    delta = min(delta, math.floor(2 * c * math.log2(n) / epsilon))
+    assert class_count(n, delta, epsilon, c) == 1
+    assert_replay_matches_set_reference(n, edges, delta, epsilon, c, seed)
+
+
+def read_only_strided(x: np.ndarray) -> np.ndarray:
+    """x as a read-only view with a stride of two elements."""
+    view = np.repeat(x, 2)[::2]
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("n", [300, 70_000])
+@pytest.mark.parametrize("wide", [False, True], ids=["id-width", "int64"])
+@pytest.mark.parametrize("r", [4, 40])
+def test_replay_reads_read_only_and_strided_ids(n, wide, r):
+    # a gnm graph on 300 vertices, half of them moved to the top ids below n,
+    # plus swapped repeats; r = 4 runs out of slots, r = 40 does not
+    edges, _ = generate(GenSpec(family="gnm", n=300, m=3000, seed=3))
+    edges = np.where(edges < 150, edges, edges + (n - 300))
+    edges = np.concatenate([edges, edges[::7, ::-1]])
+    u, v = edges.T.astype(np.int64 if wide else id_dtype(n))
+    want = replay(u.copy(), v.copy(), n, r)
+    got = replay(read_only_strided(u), read_only_strided(v), n, r)
+    assert (got[0], got[1].tolist(), *got[2:]) == (want[0], want[1].tolist(), *want[2:])
+    assert (want[3] is None) == (r == 40)

@@ -137,3 +137,17 @@ def test_delta_run_peaks_under_66_bytes_per_stored_edge():
     (_, metrics), peak = traced_peak(lambda: run_delta_coloring(stream, delta, 0.5, 1.0, seed=0))
     assert metrics.peak_stored_edges > 15_000
     assert peak / metrics.peak_stored_edges < 66
+
+
+def test_one_class_runs_on_a_gnm_graph_peak_under_40_and_26_bytes_per_stored_edge():
+    # ell = 1 (the shipped c), so every edge is stored. The replay and the
+    # offline stage read id-width memoryviews: with per-edge Python lists
+    # the delta run took 57 B per stored edge here and the arboricity run 32;
+    # read as memoryviews they take 34 and 22
+    stream, delta = opened("gnm", 8192, m=100_000)
+    (_, delta_run), delta_peak = traced_peak(lambda: run_delta_coloring(stream, delta, 0.5))
+    (_, arb_run), arb_peak = traced_peak(lambda: run_arboricity_coloring(stream, 16, 0.5))
+    assert delta_run.ell == arb_run.ell == 1
+    assert delta_run.peak_stored_edges == arb_run.peak_stored_edges == 100_000
+    assert delta_peak / delta_run.peak_stored_edges < 40
+    assert arb_peak / arb_run.peak_stored_edges < 26

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -27,29 +28,44 @@ def fresh_python(code: str) -> str:
 
 
 # each command's streamcolor modules beyond streamcolor, .cli and .core
-# (README, Library); None is a bare ``import streamcolor.cli``
+# (README, Library), and whether it loads numpy.random, which only a
+# generator needs; None is a bare ``import streamcolor.cli``. The path graph
+# gives every coloring run one class, unless --c and --delta force more.
 LOADS = {
-    "import": (None, []),
-    "maxdeg": (["maxdeg", "-i", "{dir}/graph"], []),
-    "verify": (["verify", "-i", "{dir}/graph", "-c", "{dir}/coloring"], ["oracle"]),
-    "oracle": (["oracle", "greedy", "-i", "{dir}/graph"], ["oracle"]),
+    "import": (None, [], False),
+    "maxdeg": (["maxdeg", "-i", "{dir}/graph"], [], False),
+    "verify": (["verify", "-i", "{dir}/graph", "-c", "{dir}/coloring"], ["oracle"], False),
+    "oracle": (["oracle", "greedy", "-i", "{dir}/graph"], ["oracle"], False),
     "peel": (["peel", "-i", "{dir}/graph", "--alpha", "1", "--gamma", "0.5", "-o", "{dir}/layers"],
-             ["peel"]),
-    "gen": (["gen", "--family", "path", "--n", "5", "-o", "{dir}/gen"], ["corpus", "seeding"]),
+             ["peel"], False),
+    "gen": (["gen", "--family", "path", "--n", "5", "-o", "{dir}/gen"], ["corpus", "seeding"],
+            True),
     "color-delta": (["color-delta", "-i", "{dir}/graph", "--epsilon", "0.5", "-o", "{dir}/out"],
-                    ["delta_color", "oracle", "seeding"]),
+                    ["delta_color", "oracle", "seeding"], False),
+    "color-delta-classes": (
+        ["color-delta", "-i", "{dir}/graph", "--epsilon", "0.5", "--c", "0.1", "--delta", "8",
+         "-o", "{dir}/out"],
+        ["delta_color", "oracle", "seeding"], True,
+    ),
     "color-arb": (
         ["color-arb", "-i", "{dir}/graph", "--alpha", "1", "--epsilon", "0.5", "-o", "{dir}/out"],
-        ["arb_color", "delta_color", "oracle", "peel", "seeding"],
+        ["arb_color", "delta_color", "oracle", "peel", "seeding"], False,
     ),
     "sweep": (["sweep", "-s", "{dir}/spec.json", "-o", "{dir}/sweep"],
-              ["arb_color", "corpus", "delta_color", "oracle", "peel", "seeding", "sweep"]),
+              ["arb_color", "corpus", "delta_color", "oracle", "peel", "seeding", "sweep"], True),
 }
+
+
+@functools.cache
+def numpy_loads_random() -> bool:
+    """Whether a bare ``import numpy`` loads numpy.random (numpy before 2.0
+    does), so that no command can leave it out."""
+    return fresh_python("import numpy, sys; print('numpy.random' in sys.modules)") == "True\n"
 
 
 @pytest.mark.parametrize("command", LOADS)
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
-    argv, modules = LOADS[command]
+    argv, modules, random = LOADS[command]
     (tmp_path / "graph").write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")  # a 5-vertex path
     (tmp_path / "coloring").write_text("0 0\n1 1\n2 0\n3 1\n4 0\n")
     (tmp_path / "spec.json").write_text(
@@ -62,11 +78,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     out = fresh_python(
         "import contextlib, io, sys, streamcolor.cli\n"
         + run
-        + "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'streamcolor')))"
+        + "print(' '.join(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'streamcolor' or m == 'numpy.random')))"
     )
     assert out.split() == sorted(
         ["streamcolor", "streamcolor.cli", "streamcolor.core"]
         + [f"streamcolor.{module}" for module in modules]
+        + (["numpy.random"] if random or numpy_loads_random() else [])
     )
 
 
