@@ -133,7 +133,7 @@ def read_coloring_file(path: str, n: int) -> Coloring:
 
     seen = np.zeros(n, dtype=bool)  # the vertices of the blocks read so far
     assignment = np.empty(n, dtype=np.int64)
-    for _, vertex, color, lines in read_blocks(Path(path), False):
+    for vertex, color, lines in read_blocks(Path(path)):
         twice = np.ones(len(vertex), dtype=bool)
         twice[first_occurrences(vertex)] = False
         inside = (vertex >= 0) & (vertex < n)

@@ -102,15 +102,24 @@ class EdgeStream:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "EdgeStream":
-        """Wrap an in-memory edge sequence ((m, 2) array or iterable of pairs)."""
-        try:
-            arr = np.array(edges, dtype=np.int64)  # a copy, so the stream owns its ids
-        except OverflowError:
-            raise StreamFormatError("endpoint does not fit in a signed 64-bit integer") from None
+        """Wrap an in-memory edge sequence ((m, 2) array or sequence of
+        pairs). Its values must be integers, as in a file: a float, bool or
+        string is refused, not rounded or parsed."""
+        arr = edges if isinstance(edges, np.ndarray) else np.array(edges, dtype=object)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise StreamFormatError("edges must be pairs of endpoints")
+        if arr.size and arr.dtype.kind not in "iu" and not (arr.dtype == object and all(
+            type(x) is int or isinstance(x, np.integer) for x in arr.flat  # a bool is no int here
+        )):
+            raise StreamFormatError("endpoints must be integers")
+        if arr.dtype == np.uint64 and arr.size and int(arr.max()) > _INT64_MAX:  # would wrap
+            raise StreamFormatError("endpoint does not fit in a signed 64-bit integer")
+        try:
+            arr = np.array(arr, dtype=np.int64)  # a copy, so the stream owns its ids
+        except OverflowError:
+            raise StreamFormatError("endpoint does not fit in a signed 64-bit integer") from None
         u, v = arr[:, 0], arr[:, 1]
         check_edges(n, u, v)
         return cls(n, u, v)
@@ -136,8 +145,9 @@ def open_stream(path) -> EdgeStream:
     """Open an edge stream from a file path; ``EdgeStream.from_edges`` wraps
     an in-memory edge list.
 
-    File format: first non-comment line is ``<n> <m>`` (m may be 0 when
-    unknown), then one ``<u> <v>`` edge per line; ``#`` starts a comment.
+    File format: the first pair ``read_blocks`` yields is the header ``<n>
+    <m>``, both non-negative (m may be 0 when unknown), then one ``<u> <v>``
+    edge per line; ``#`` starts a comment.
     Parsing validates eagerly and reports the offending line; the validation
     read is part of opening and does not count as a pass. Each block is
     checked, then stored at ``id_dtype(n)`` in arrays presized from m, capped
@@ -145,17 +155,23 @@ def open_stream(path) -> EdgeStream:
     and grown by doubling, so the scratch is a few blocks.
     """
     u, v, count = None, None, 0
-    for (n, m), a, b, lines in read_blocks(Path(path), True):
-        check_edges(n, a, b, lines)
-        if u is None:  # the header's block, which comes first
+    for a, b, lines in read_blocks(Path(path)):
+        if u is None:  # the file's first pair is its header
+            n, m = int(a[0]), int(b[0])
+            if n < 0 or m < 0:
+                raise StreamFormatError("header '<n> <m>' must be non-negative", lines[0])
+            a, b, lines = a[1:], b[1:], lines[1:]
             cap = min(m, Path(path).stat().st_size // 4)
             u, v = np.empty(cap, id_dtype(n)), np.empty(cap, id_dtype(n))
+        check_edges(n, a, b, lines)
         if count + len(a) > len(u):
             cap = max(2 * len(u), count + len(a))
             u, v = _resized(u, count, cap), _resized(v, count, cap)
         u[count : count + len(a)] = a
         v[count : count + len(a)] = b
         count += len(a)
+    if u is None:
+        raise StreamFormatError("missing header line '<n> <m>'")
     if len(u) != count:
         u, v = _resized(u, count, count), _resized(v, count, count)
     if m and count != m:
@@ -174,22 +190,21 @@ def check_edges(n: int, u: np.ndarray, v: np.ndarray, lines: Sequence[int] | Non
         raise StreamFormatError(message, None if lines is None else lines[i])
 
 
-def read_blocks(path: Path, header: bool) -> Iterator[tuple]:
-    """Read a file of ``<a> <b>`` int64 pairs, after an ``<n> <m>`` line when
-    ``header``, as one ``(header or None, a, b, lines)`` per block that holds
-    pairs or the header, ``lines[i]`` the line of pair i; the header's block
-    comes first, even when it holds no pair. The file is opened once and read
-    front to back, so a pipe works, in reads of ``BLOCK`` bytes. Each read is
-    cut after its last line end (``\n``, ``\r\n`` or a lone ``\r``) into a
-    block, and the unfinished line carries into the next read; a final ``\r``
-    is held back, since it may start a ``\r\n``. numpy tokenizes a plain
-    block, a line scan any other. A line of more than ``MAX_LINE`` bytes, its
-    line end included, is an error on its own line, so a block holds at most
-    ``BLOCK + MAX_LINE`` bytes. No value is checked against n, and a block's
-    format error is raised after its pairs are yielded, so a caller that
-    checks each block before it stores it raises the first error in the file.
+def read_blocks(path: Path) -> Iterator[tuple]:
+    """Read a file of ``<a> <b>`` int64 pairs as one ``(a, b, lines)`` per
+    block that holds pairs, ``lines[i]`` the line of pair i. The file is
+    opened once and read front to back, so a pipe works, in reads of
+    ``BLOCK`` bytes. Each read is cut after its last line end (``\n``,
+    ``\r\n`` or a lone ``\r``) into a block, and the unfinished line carries
+    into the next read; a final ``\r`` is held back, since it may start a
+    ``\r\n``. numpy tokenizes a plain block, a line scan any other. A line of
+    more than ``MAX_LINE`` bytes, its line end included, is an error on its
+    own line, so a block holds at most ``BLOCK + MAX_LINE`` bytes. No value
+    is checked against a bound, and a block's format error is raised after
+    its pairs are yielded, so a caller that checks each block before it
+    stores it raises the first error in the file.
     """
-    head, line, carry = None, 1, b""
+    line, carry = 1, b""
     with open(path, "rb") as fh:
         while data := carry + fh.read(BLOCK):
             if len(data) > len(carry):  # hold a final \r back: it may start a \r\n
@@ -201,33 +216,23 @@ def read_blocks(path: Path, header: bool) -> Iterator[tuple]:
                 cut = 0
             block, carry = data[:cut], data[cut:]
             if block:  # else the carry is an unfinished line or one too long
-                want_header = header and head is None
-                found, vals, lines, line, error = _block_pairs(block, line, want_header)
-                head = found or head  # found is the header or None
-                if len(vals) or found:  # else a block of comments
-                    yield head, vals[0::2], vals[1::2], lines
+                vals, error = _plain_values(block), None
+                if vals is not None:
+                    lines = range(line, line + len(vals) // 2)
+                    line = lines.stop
+                else:
+                    # text mode's line ends: \n, \r\n or a lone \r; a byte that
+                    # is not UTF-8 becomes a lone surrogate, which the scan
+                    # reports on its line
+                    vals, lines, line, error = _scan_block(
+                        io.StringIO(block.decode("utf-8", "surrogateescape"), newline=None), line
+                    )
+                if len(vals):  # else a block of comments
+                    yield vals[0::2], vals[1::2], lines
                 if error is not None:
                     raise error
             if len(carry) > MAX_LINE:
                 raise StreamFormatError(f"line longer than {MAX_LINE} bytes", line)
-    if header and head is None:
-        raise StreamFormatError("missing header line '<n> <m>'")
-
-
-def _block_pairs(block: bytes, line: int, want_header: bool):
-    """One block of whole lines, the first on ``line``, as (header or None,
-    int64 values, line of each pair, the line after the block, format error
-    or None). The header is the block's first pair when ``want_header``."""
-    vals = _plain_values(block)
-    if vals is None:
-        # text mode's line ends: \n, \r\n or a lone \r; a byte that is not
-        # UTF-8 becomes a lone surrogate, which the scan reports on its line
-        text = block.decode("utf-8", "surrogateescape")
-        return _scan_block(io.StringIO(text, newline=None), line, want_header)
-    end = line + len(vals) // 2
-    if not want_header:
-        return None, vals, range(line, end), end, None
-    return (int(vals[0]), int(vals[1])), vals[2:], range(line + 1, end), end, None
 
 
 def _plain_values(block: bytes) -> np.ndarray | None:
@@ -266,11 +271,13 @@ def _resized(arr: np.ndarray, count: int, size: int) -> np.ndarray:
     return out
 
 
-def _scan_block(block: io.StringIO, line: int, want_header: bool):
-    """``_block_pairs`` by a line scan: skips blank and ``#`` lines and only
-    tokenizes, stopping at the first line that is not UTF-8, has no two
-    integers, a negative header value or a pair value beyond int64."""
-    head, vals, lines, error = None, array.array("q"), array.array("q"), None
+def _scan_block(block: io.StringIO, line: int):
+    """A block's pairs by a line scan, the first line on ``line``, as (int64
+    values, line of each pair, the line after the block, format error or
+    None): skips blank and ``#`` lines and only tokenizes, stopping at the
+    first line that is not UTF-8, has no two integers or a value beyond
+    int64."""
+    vals, lines, error = array.array("q"), array.array("q"), None
     line_no = line - 1
     try:
         for line_no, raw in enumerate(block, start=line):
@@ -286,18 +293,13 @@ def _scan_block(block: io.StringIO, line: int, want_header: bool):
                 a, b = int(parts[0]), int(parts[1])
             except ValueError:
                 raise StreamFormatError("non-integer field", line_no) from None
-            if want_header and head is None:
-                if a < 0 or b < 0:
-                    raise StreamFormatError("header '<n> <m>' must be non-negative", line_no)
-                head = a, b
-                continue
             if not -_INT64_MAX - 1 <= min(a, b) <= max(a, b) <= _INT64_MAX:
                 raise StreamFormatError("value outside the signed 64-bit range", line_no)
             vals.extend((a, b))
             lines.append(line_no)
     except StreamFormatError as exc:
         error = exc
-    return head, np.frombuffer(vals, dtype=np.int64), lines, line_no + 1, error
+    return np.frombuffer(vals, dtype=np.int64), lines, line_no + 1, error
 
 
 def measure_max_degree(stream: EdgeStream) -> int:

@@ -1,11 +1,12 @@
-"""Offline ground-truth oracles.
+"""Offline checks and ground-truth oracles.
 
-Everything here is slow-but-obviously-correct reference machinery: properness
-checking, greedy coloring, degeneracy peeling, brute-force Nash-Williams
-arboricity on tiny graphs, and repeat counts of the edge multiset. Each
-reads its graph from an EdgeStream; greedy, degeneracy and arboricity copy it
-into deduplicated neighbor sets in one pass. The streaming algorithms are
-always judged against these, never against themselves.
+Two are vectorized one-pass checks: ``verify_proper``, which ``verify`` runs,
+and ``repeat_counts``, which ``oracle repeats`` prints. The rest is
+slow-but-obviously-correct reference machinery: greedy coloring, degeneracy
+peeling and brute-force Nash-Williams arboricity on tiny graphs. Each reads
+its graph from an EdgeStream; the references copy it into deduplicated
+neighbor sets in one pass. The streaming algorithms are always judged
+against these, never against themselves.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ class Coloring:
 
     assignment: list[int]
     palette_size: int
-
-    @property
-    def n(self) -> int:
-        return len(self.assignment)
 
     @property
     def colors_used(self) -> int:

@@ -206,13 +206,23 @@ def test_maxdeg_header_too_large_to_allocate(tmp_path, capsys):
 
 
 def test_endpoint_beyond_int64_is_a_line_error(tmp_path, capsys):
-    # a header n above 2**63 - 1 lets endpoints at or above 2**63 pass the
-    # range check; they must still fail as input errors, not overflow
+    # at n = 2**63 - 1 an endpoint at or above 2**63 would pass the range
+    # check; it must still fail as an input error on its line, not overflow
     huge = tmp_path / "huge.txt"
-    huge.write_text("99999999999999999999 1\n99999999999999999998 1\n")
+    huge.write_text("9223372036854775807 1\n99999999999999999998 1\n")
     assert main(["maxdeg", "-i", str(huge)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 2:")
+
+
+def test_header_beyond_int64_is_a_line_error(tmp_path, capsys):
+    # the header is a pair like any other, so a value outside int64 is an
+    # input error on line 1, before any array is sized from it
+    huge = tmp_path / "huge.txt"
+    huge.write_text("99999999999999999999 1\n0 1\n")
+    assert main(["maxdeg", "-i", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: value outside the signed 64-bit range")
 
 
 def test_malformed_edge_file(tmp_path, capsys):

@@ -302,6 +302,50 @@ def test_from_edges_rejects_endpoint_beyond_int64():
         EdgeStream.from_edges(4, [(-(2**64), 1)])
 
 
+@pytest.mark.parametrize("edges", [
+    pytest.param([(0.5, 1.7)], id="floats"),
+    pytest.param([("1", "2")], id="strings"),
+    pytest.param([(True, 2)], id="bool"),
+    pytest.param([(np.True_, 2)], id="numpy-bool"),
+    pytest.param([(0.5, 2**64)], id="float-beside-huge-int"),
+    pytest.param(np.array([[0.0, 1.0]]), id="float-array"),
+    pytest.param(np.array([[False, True]]), id="bool-array"),
+])
+def test_from_edges_rejects_values_that_are_not_integers(edges):
+    # a file with these pairs is a "non-integer field" error; an in-memory
+    # edge list must not round or parse them into an edge either
+    with pytest.raises(StreamFormatError, match="endpoints must be integers"):
+        EdgeStream.from_edges(4, edges)
+
+
+@pytest.mark.parametrize("edges", [
+    pytest.param(np.zeros(0), id="empty-float"),
+    pytest.param(np.zeros((0, 2), dtype=bool), id="empty-bool"),
+    pytest.param(np.zeros((0, 2), dtype="U1"), id="empty-str"),
+    pytest.param((), id="empty-tuple"),
+])
+def test_from_edges_accepts_empty_input_of_any_dtype(edges):
+    s = EdgeStream.from_edges(4, edges)
+    assert s.m == 0 and one_pass(s) == []
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int32, np.uint32, np.int64,
+                                   np.uint64, object])
+def test_from_edges_accepts_integer_arrays_of_every_width(dtype):
+    assert one_pass(EdgeStream.from_edges(4, np.asarray(K4_EDGES, dtype=dtype))) == K4_EDGES
+
+
+def test_from_edges_rejects_uint64_beyond_int64():
+    # cast to int64, 2**63 would wrap to -2**63 and read as out of range
+    with pytest.raises(StreamFormatError, match="signed 64-bit"):
+        EdgeStream.from_edges(2**64, np.array([(0, 2**63)], dtype=np.uint64))
+
+
+def test_from_edges_accepts_numpy_integer_scalars():
+    mixed = [(np.int32(0), np.uint64(1)), (2, np.int8(3))]
+    assert one_pass(EdgeStream.from_edges(4, mixed)) == [(0, 1), (2, 3)]
+
+
 def test_stream_chunks_are_at_id_width():
     s = EdgeStream.from_edges(4, np.asarray(K4_EDGES, dtype=np.int32))
     for u, v in s.pass_chunks():

@@ -25,7 +25,6 @@ K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 def test_coloring_counts():
     c = Coloring(assignment=[3, 1, 3], palette_size=5)
-    assert c.n == 3
     assert c.colors_used == 2
     assert Coloring(assignment=[], palette_size=0).colors_used == 0
 

@@ -130,6 +130,12 @@ EDGE_CASES = [
                  id="19-digit-endpoint"),
     pytest.param(b"1000000000000000000 1\n0 1\n", True, False, None, id="19-digit-n"),
     pytest.param(b"999999999999999999 1\n0 1\n", True, True, None, id="18-digit-n"),
+    # the header is the file's first pair: within int64 like every pair, and
+    # its sign is checked before any later line of its block
+    pytest.param(b"99999999999999999999 1\n0 1\n", True, False,
+                 "line 1: value outside the signed 64-bit range", id="20-digit-header"),
+    pytest.param(b"-4 1\n0 1\nx y\n", True, False, "line 1: header '<n> <m>' must be non-negative",
+                 id="negative-header-then-garbage"),
     pytest.param(b"4 0\n", True, True, None, id="header-only"),
     pytest.param(b"4 3\n", True, True, "declares m=3 but file has 0 edges",
                  id="header-only-declares-edges"),
@@ -274,7 +280,7 @@ def test_gen_output_takes_the_vectorized_route(tmp_path, monkeypatch, gen_args):
     assert cli.main(["gen", *gen_args, "-o", str(path)]) == 0
     expected = forced_scan(open_stream, path)
 
-    def no_scan(block, line, want_header):
+    def no_scan(block, line):
         raise AssertionError(f"{path} fell back to the line scan at line {line}")
 
     monkeypatch.setattr(core, "_scan_block", no_scan)
