@@ -8,16 +8,17 @@ algorithm keeps of it (the one-pass coloring's same-class edges, the
 arboricity run's same-class codes) lives inside that algorithm, where its
 space is counted.
 
-A stream is a multigraph: the same edge may arrive more than once, in
-either endpoint order. Counters (max degree, peel degrees, forward and
-out-degrees) count every occurrence, since O(n) counters cannot
-deduplicate, so the ``delta`` and ``alpha`` bounds a run is given must bound
-the multigraph. Stored edges are deduplicated by their ``pair_codes``, and
-the oracles' adjacency keeps each neighbor once; that only saves space and
-leaves every guarantee intact. The one dedup idiom is a sort and a
-neighbour compare, ``run_firsts``: ``first_occurrences`` keeps stream order,
-and a caller that needs no order sorts its codes in place and masks or
-counts the runs.
+A stream is a multigraph: the same edge may arrive more than once, in either
+endpoint order. Counters (max degree, peel degrees, forward and out-degrees)
+count every occurrence, since O(n) counters cannot deduplicate. So a run's
+``alpha`` must bound the multigraph, as peeling counts occurrences, while
+``delta`` need only bound the simple graph's max degree, as a class's stored
+degree counts distinct neighbors. Stored edges are deduplicated by their
+``pair_codes``, and the oracles' adjacency keeps each neighbor once; that
+only saves space and leaves every guarantee intact. The one dedup idiom is a
+sort and a neighbour compare, ``run_firsts``: ``first_occurrences`` keeps
+stream order, and a caller that needs no order sorts its codes in place and
+masks or counts the runs.
 
 Vertex ids stay at ``id_dtype(n)`` from the file to the stored edges: the
 stream keeps them at that width, and a pass yields views of them.

@@ -139,20 +139,22 @@ def replay(
 ) -> tuple[list[int], np.ndarray, int, int | None]:
     """Run the online rule over same-class edges u, v in stream order.
 
-    A pair's first occurrence stores it in both endpoints' neighbor lists;
-    every occurrence, repeat or not, moves its first-listed endpoint to the
-    smallest of the r slots no stored neighbor holds when the endpoints
-    share a slot. Classes partition the vertices, so one flat array at id
-    width holds every class's stored graph: x's stored neighbors, in arrival
-    order, are nbr[start[x]:fill[x]], laid out from the distinct degrees.
+    Each pair is stored once, in one flat array at id width: x's stored
+    neighbors, in arrival order, are nbr[start[x]:fill[x]]. If its endpoints
+    share a slot, the first-listed moves to the smallest of the r slots no
+    stored neighbor holds. Repeats, in either endpoint order, are dropped
+    first: they are no-ops, since after a pair's first occurrence each
+    endpoint is a stored neighbor of the other, and a vertex only moves to a
+    slot no stored neighbor holds, so the two never share a slot again and a
+    repeat would take the ``continue`` before any cost is counted.
 
     Returns each vertex's slot and stored degree, the most neighbors plus
     slots examined on one edge, and the vertex that found no free slot, or
     None; after such a stop, slots and degrees are those at the stop.
     """
-    first = np.zeros(len(u), dtype=bool)
-    first[first_occurrences(pair_codes(u, v, n))] = True
-    degree = np.bincount(u[first], minlength=n) + np.bincount(v[first], minlength=n)
+    first = first_occurrences(pair_codes(u, v, n))
+    u, v = u[first], v[first]
+    degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
     start = (np.cumsum(degree) - degree).tolist()
     fill = list(start)
     nbr = memoryview(np.zeros(int(degree.sum()), dtype=id_dtype(n)))
@@ -163,12 +165,11 @@ def replay(
     stuck = None
     # memoryviews yield one int per edge as the loop reaches it, so no list
     # of the edges is ever built
-    for a, b, fresh in zip(memoryview(u), memoryview(v), memoryview(first)):
-        if fresh:
-            nbr[fill[a]] = b
-            fill[a] += 1
-            nbr[fill[b]] = a
-            fill[b] += 1
+    for a, b in zip(memoryview(u), memoryview(v)):
+        nbr[fill[a]] = b
+        fill[a] += 1
+        nbr[fill[b]] = a
+        fill[b] += 1
         if slot[a] != slot[b]:
             continue
         stamp += 1
@@ -194,8 +195,9 @@ def run_delta_coloring(
 ) -> tuple[Coloring, DeltaRunMetrics]:
     """Color stream's graph in exactly one pass.
 
-    delta must upper-bound the true max degree (measure_max_degree costs one
-    extra pass if the caller does not know it). Raises ColoringAborted, with
+    delta need only bound the simple graph's max degree, as a class's stored
+    degree counts distinct neighbors (measure_max_degree costs one extra
+    pass, and counts repeats). Raises ColoringAborted, with
     metrics attached, when a class palette is exhausted; the pass is read to
     its end before the replay finds that out.
     """

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .arb_color import derive_config, run_arboricity_coloring
-from .core import EdgeStream
+from .core import EdgeStream, StreamMeta
 from .corpus import GenSpec, generate
 from .delta_color import ColoringAborted, class_count, palette_size, run_delta_coloring
 from .peel import PeelStalled
@@ -140,16 +140,8 @@ def expand_spec(doc: dict) -> list[SweepCell]:
                     derive_config(n, alpha, epsilon, c)
                 for seed in seeds:
                     cells.append(SweepCell(
-                        family=family,
-                        n=n,
-                        m=m,
-                        alpha=alpha,
-                        order=order,
-                        gen_seed=gen_seed,
-                        algorithm=algorithm,
-                        epsilon=epsilon,
-                        c=c,
-                        seed=seed,
+                        family=family, n=n, m=m, alpha=alpha, order=order, gen_seed=gen_seed,
+                        algorithm=algorithm, epsilon=epsilon, c=c, seed=seed,
                     ))
     by_slug: dict[str, SweepCell] = {}
     for cell in cells:
@@ -174,13 +166,13 @@ def _config(cell: SweepCell, meta) -> dict:
     return {**asdict(cell), "m": meta.m, "delta": delta, "alpha": alpha}
 
 
-def _run_cell(config: dict, edges) -> dict:
-    """Execute one cell and return the sweep record (config + metrics)."""
+def _run_cell(config: dict, stream: EdgeStream) -> dict:
+    """Execute one cell on its graph's stream, which the graph's other cells
+    share, and return the sweep record (config + metrics)."""
     if config["algorithm"] == "delta":
         run, bound = run_delta_coloring, config["delta"]
     else:
         run, bound = run_arboricity_coloring, config["alpha"]
-    stream = EdgeStream.from_edges(config["n"], edges)
     try:
         _, metrics = run(stream, bound, config["epsilon"], config["c"], config["seed"])
         failed = False
@@ -212,7 +204,7 @@ def run_sweep(doc: dict, out_dir: str | Path) -> Path:
     before any cell runs or the output directory is made."""
     cells = expand_spec(doc)
     out = Path(out_dir)
-    graph_cache: dict[GenSpec, tuple] = {}
+    graph_cache: dict[GenSpec, tuple[EdgeStream, StreamMeta]] = {}
     configs: dict[SweepCell, dict] = {}  # each cell still to run, with its record config
     rows: dict[SweepCell, dict] = {}  # each cell's CSV row
     for cell in cells:
@@ -224,8 +216,10 @@ def run_sweep(doc: dict, out_dir: str | Path) -> Path:
                 raise ValueError(f"damaged sweep record {path}: {type(exc).__name__}: {exc}")
             continue
         spec = cell.genspec()
-        if spec not in graph_cache:
-            graph_cache[spec] = generate(spec)
+        if spec not in graph_cache:  # each graph is held as its stream, at id width
+            edges, meta = generate(spec)
+            graph_cache[spec] = EdgeStream.from_edges(spec.n, edges), meta
+            del edges  # not held while the next graph is generated
         configs[cell] = _config(cell, graph_cache[spec][1])
     out.mkdir(parents=True, exist_ok=True)
     for cell, config in configs.items():

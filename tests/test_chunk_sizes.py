@@ -31,7 +31,7 @@ from streamcolor import (
     run_delta_coloring,
     verify_proper,
 )
-from streamcolor.core import pair_codes
+from streamcolor.core import first_occurrences, pair_codes
 from streamcolor.peel import peel
 
 CHUNK_SIZES = (1, 7, None)  # None: the default chunk size
@@ -194,6 +194,45 @@ def test_delta_abort_same_at_every_chunk_size(at_chunk_sizes):
         return exc.vertex, exc.mono_degree, asdict(exc.metrics), stream.pass_count
 
     assert all_equal(at_chunk_sizes(run))
+
+
+def sent_k_times(edges: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Every edge sent k times: the first copies in their own order, each
+    repeat at a random later place, and about half of the repeats swapped."""
+    rng = np.random.default_rng(seed)
+    m = len(edges)
+    repeats = np.tile(edges, (k - 1, 1))
+    swap = rng.random(len(repeats)) < 0.5
+    repeats[swap] = repeats[swap, ::-1]
+    # edge i's first copy sorts at 2i, a repeat of it just after first copy i + d
+    later = np.tile(np.arange(m), k - 1) + rng.integers(1, m + 1, size=len(repeats))
+    order = np.argsort(np.concatenate([2 * np.arange(m), 2 * later + 1]), kind="stable")
+    return np.concatenate([edges, repeats])[order]
+
+
+@pytest.mark.parametrize("c", [0.2, 0.04], ids=["finishes", "aborts"])
+def test_delta_coloring_of_a_repeated_stream_equals_the_simple_one(at_chunk_sizes, c):
+    # a repeat is a no-op in the replay, so the simple graph's max degree is
+    # the delta the repeated stream needs, and every outcome but m is equal
+    edges, meta = generate(GNM)
+    sent = sent_k_times(edges, 4, seed=2)
+
+    def run(graph):
+        stream = EdgeStream.from_edges(GNM.n, graph)
+        try:
+            coloring, metrics = run_delta_coloring(stream, meta.max_degree, 0.5, c=c, seed=1)
+            outcome = coloring.assignment
+        except ColoringAborted as exc:
+            metrics, outcome = exc.metrics, (exc.vertex, exc.class_id, exc.mono_degree, exc.seed)
+        return outcome, {**asdict(metrics), "m": None}, stream.pass_count
+
+    simple, repeated = zip(*at_chunk_sizes(lambda: (run(edges), run(sent))))
+    assert all_equal([*simple, *repeated])
+    outcome, metrics, passes = simple[0]
+    assert metrics["ell"] > 1 and metrics["aborted"] == (c == 0.04) and passes == 1
+    assert len(sent) == 4 * len(edges)
+    assert (sent[first_occurrences(pair_codes(sent[:, 0], sent[:, 1], GNM.n))] == edges).all()
+    assert measure_max_degree(EdgeStream.from_edges(GNM.n, sent)) == 4 * meta.max_degree
 
 
 def test_peel_same_at_every_chunk_size(at_chunk_sizes):

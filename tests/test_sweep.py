@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 
+import numpy.random  # noqa: F401  imported before tracing: it allocates several MB once
 import pytest
 
+from streamcolor.core import id_dtype
 from streamcolor.sweep import CSV_COLUMNS, SweepCell, expand_spec, run_sweep
 
 
@@ -199,3 +202,25 @@ def test_concentration_style_sweep_reads_class_degrees(tmp_path):
     for record in records:
         assert record["metrics"]["max_class_degree"] <= cap
         assert record["metrics"]["passes"] == 1
+
+
+def test_sweep_holds_each_graph_as_its_stream(tmp_path):
+    # every distinct graph stays held until the sweep returns: as its stream
+    # that is m ids of each endpoint at id width (2 B here), as int64 pairs
+    # it was m * 16 B
+    n, m = 4096, 40_000
+
+    def traced_peak(graphs: int) -> int:
+        doc = {"runs": [
+            {"family": "gnm", "n": n, "m": m, "gen_seed": g, "algorithm": "delta"}
+            for g in range(graphs)
+        ]}
+        tracemalloc.start()
+        try:
+            run_sweep(doc, tmp_path / f"graphs-{graphs}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_extra_graph = (traced_peak(4) - traced_peak(1)) / 3
+    assert per_extra_graph < 1.25 * m * 2 * id_dtype(n).itemsize
