@@ -33,7 +33,6 @@ import array
 import io
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -198,12 +197,13 @@ def read_blocks(path: Path) -> Iterator[tuple]:
     ``BLOCK`` bytes. Each read is cut after its last line end (``\n``,
     ``\r\n`` or a lone ``\r``) into a block, and the unfinished line carries
     into the next read; a final ``\r`` is held back, since it may start a
-    ``\r\n``. numpy tokenizes a plain block, a line scan any other. A line of
-    more than ``MAX_LINE`` bytes, its line end included, is an error on its
-    own line, so a block holds at most ``BLOCK + MAX_LINE`` bytes. No value
-    is checked against a bound, and a block's format error is raised after
-    its pairs are yielded, so a caller that checks each block before it
-    stores it raises the first error in the file.
+    ``\r\n``. A plain block is parsed by its digit columns, any other by a
+    line scan. A line of more than ``MAX_LINE`` bytes, its line end
+    included, is an error on its own line, so a block holds at most
+    ``BLOCK + MAX_LINE`` bytes. No value is checked against a bound, and a
+    block's format error is raised after its pairs are yielded, so a caller
+    that checks each block before it stores it raises the first error in
+    the file.
     """
     line, carry = 1, b""
     with open(path, "rb") as fh:
@@ -241,28 +241,39 @@ def _plain_values(block: bytes) -> np.ndarray | None:
     only ``<digits> <digits>`` lines, each ending in ``\\n``, ``\\r\\n`` or
     a lone ``\\r``, at most ``_MAX_DIGITS`` digits per number, so that every
     value fits in int64. Comments, blank lines, signs and tabs are left to
-    ``_scan_block``."""
+    ``_scan_block``.
+
+    The separator scan that checks the format also parses: each number ends
+    one byte before its separator, so the values add up one digit column at
+    a time, last digit first, at ``id_dtype(10 ** longest)``, the narrowest
+    width that holds the block's longest number, and widen to int64 once."""
     if b"\r" in block:  # each line end becomes one \n, so each line keeps its number
         block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not block.endswith(b"\n"):
         return None
     buf = np.frombuffer(block, dtype=np.uint8)
-    seps = np.flatnonzero((buf - ord("0")) > 9)  # uint8 wraps below '0'
+    digits = buf - ord("0")  # uint8 wraps below '0', so a separator reads above 9
+    seps = np.flatnonzero(digits > 9)
     kinds = buf[seps]
     if len(seps) % 2 or (kinds[0::2] != ord(" ")).any() or (kinds[1::2] != ord("\n")).any():
         return None
-    lengths = np.diff(seps, prepend=-1) - 1
-    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+    widths = np.empty_like(seps)  # bytes per number, its separator included
+    widths[0] = seps[0] + 1
+    np.subtract(seps[1:], seps[:-1], out=widths[1:])
+    longest = int(widths.max()) - 1
+    if widths.min() < 2 or longest > _MAX_DIGITS:
         return None
-    count = len(seps)
-    del buf, seps, kinds, lengths
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            vals = np.fromstring(block, dtype=np.int64, sep=" ")
-        except (ValueError, DeprecationWarning):  # an unparsed tail; older numpy only warns
-            return None
-    return vals if len(vals) == count else None
+    widths = widths.astype(np.uint8)  # frees the int64 widths for the column loop
+    seps -= 1  # each number's last digit
+    vals = digits[seps].astype(id_dtype(10**longest))
+    column = np.empty_like(vals)
+    for k in range(2, longest + 1):  # a short first number's index may fall below 0: masked
+        seps -= 1
+        np.multiply(digits[seps], widths > k, out=column)  # 0 past a number's first digit
+        column *= 10 ** (k - 1)
+        vals += column
+    del digits, seps, kinds, widths, column  # freed before the int64 copy
+    return vals.astype(np.int64)
 
 
 def _resized(arr: np.ndarray, count: int, size: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The two routes of pair-file parsing give the same results and errors.
 
-``read_blocks`` reads a file once, front to back, in blocks: it tokenizes a
-plain block with numpy and hands any other block to the line scan,
+``read_blocks`` reads a file once, front to back, in blocks: it parses a
+plain block by its digit columns and hands any other block to the line scan,
 ``_scan_block``, which carries the line number on. The reference is a
 forced scan of the whole file as one block: on any input, and at any block
 size, ``open_stream`` (edge files, with a header) and ``read_coloring_file``
@@ -13,9 +13,9 @@ only once, must give what the regular file gives.
 from __future__ import annotations
 
 import os
+import random
 import tempfile
 import threading
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -246,20 +246,102 @@ def test_routes_agree_at_id_width_limits(tmp_path, n):
     assert outcome(lambda _: core.EdgeStream.from_edges(n, edges), path) == expected
 
 
-def test_older_numpy_warning_takes_the_scan_route(tmp_path, monkeypatch):
-    # numpy before 2 only warns about an unparsed tail; the warning must send
-    # the block to the scan, which gives the same stream
+def test_plain_files_parse_without_np_fromstring(tmp_path, monkeypatch):
+    # the digit columns parse a plain block; numpy's string tokenizer, whose
+    # handling of an unparsed tail differs across numpy versions, is not used
     path = tmp_path / "g.txt"
     path.write_bytes(b"4 2\n0 1\n2 3\n")
-    expected = outcome(open_stream, path)
-    fromstring = np.fromstring
 
-    def warning_fromstring(*args, **kwargs):
-        warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return fromstring(*args, **kwargs)
+    def no_fromstring(*args, **kwargs):
+        raise AssertionError("np.fromstring was called")
 
-    monkeypatch.setattr(np, "fromstring", warning_fromstring)
-    assert core._plain_values(path.read_bytes()) is None
+    monkeypatch.setattr(np, "fromstring", no_fromstring)
+    assert core._plain_values(path.read_bytes()).tolist() == [4, 2, 0, 1, 2, 3]
+    assert outcome(open_stream, path) == (4, 2, [0, 2], [1, 3])
+
+
+# the largest and smallest numbers of 1, 2, 3, 4, 5, 9, 10 and 18 digits
+EDGE_VALUES = [9, 99, 100, 9999, 10000, 10**9 - 1, 10**9, 10**18 - 1]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def digits_of(d: int):
+    """Numbers of exactly d digits, leading zeros included."""
+    return st.text("0123456789", min_size=d, max_size=d)
+
+
+@st.composite
+def plain_blocks(draw):
+    """Blocks of whole plain lines: numbers of 1 to 18 digits, mixed within
+    a block, some with leading zeros and some at a width's edge, and each
+    line ended by \\n, \\r\\n or a lone \\r."""
+    number = st.one_of(st.integers(1, 18).flatmap(digits_of), st.sampled_from(EDGE_VALUES).map(str))
+    pairs = draw(st.lists(st.tuples(number, number), min_size=1, max_size=20))
+    return "".join(f"{a} {b}{draw(st.sampled_from(LINE_ENDS))}" for a, b in pairs).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(plain_blocks())
+def test_digit_columns_match_python_int(block):
+    vals = core._plain_values(block)
+    assert vals is not None and vals.dtype == np.int64
+    assert vals.tolist() == [int(x) for x in block.split()]
+
+
+@pytest.mark.parametrize("block", [
+    pytest.param(b"1 " + b"1" * 19 + b"\n", id="19-digits"),
+    pytest.param(b"1 " + b"0" * 18 + b"1\n", id="19-digits-with-leading-zeros"),
+    pytest.param(b"0 1\n1\t2\n", id="tab"),
+    pytest.param(b"0 1\n1  2\n", id="double-space"),
+    pytest.param(b"0 1\n1 2", id="no-final-line-end"),
+])
+def test_digit_columns_refuse_a_block_that_is_not_plain(block):
+    assert core._plain_values(block) is None
+
+
+def digit_column_file(n: int, m: int, seed: int):
+    """A plain edge file of m pairs below n, and its edges: each number has
+    a random count of digits, some are a width's edge value, each is padded
+    with up to 18 digits of leading zeros, and each line ends in \\n,
+    \\r\\n or a lone \\r."""
+    rng = random.Random(seed)
+    digits = len(str(n - 1))
+    edge_values = [x for x in EDGE_VALUES if x < n]
+
+    def number():
+        if rng.random() < 0.1:
+            return rng.choice(edge_values)
+        d = rng.randint(1, digits)
+        return rng.randrange(10 ** (d - 1) if d > 1 else 0, min(10**d, n))
+
+    def written(x):
+        return str(x).zfill(rng.randint(len(str(x)), 18))
+
+    edges = []
+    while len(edges) < m:
+        a, b = number(), number()
+        if a != b:
+            edges.append((a, b))
+    lines = [f"{n} {m}\n"] + [f"{written(a)} {written(b)}{rng.choice(LINE_ENDS)}" for a, b in edges]
+    return "".join(lines).encode(), edges
+
+
+@pytest.mark.parametrize("block", [1 << 14, None])
+@pytest.mark.parametrize("n", [10_000, 10**18 - 1])
+def test_digit_columns_read_a_file_as_python_int(tmp_path, monkeypatch, n, block):
+    # every block is plain, so no line scan runs, at either block size
+    if block is not None:
+        monkeypatch.setattr(core, "BLOCK", block)
+    data, edges = digit_column_file(n, 8000, seed=n % 1000)
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    assert len(data) > core.BLOCK
+
+    def no_scan(text, line):
+        raise AssertionError(f"line {line} fell back to the line scan")
+
+    monkeypatch.setattr(core, "_scan_block", no_scan)
+    expected = n, len(edges), [a for a, _ in edges], [b for _, b in edges]
     assert outcome(open_stream, path) == expected
 
 
