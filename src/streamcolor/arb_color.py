@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdgeStream, id_dtype, pair_codes, run_firsts
-from .delta_color import DEFAULT_C, PhasePartition, derived_count, validate_run_params
-from .oracle import Coloring
+from .core import DEFAULT_C, Coloring, EdgeStream, id_dtype, pair_codes, run_firsts
+from .delta_color import PhasePartition, derived_count, validate_run_params
 from .peel import LayerPartition, PeelStalled, PeelState
 
 

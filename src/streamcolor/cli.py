@@ -22,6 +22,7 @@ from .core import (
     DEFAULT_C,
     FAMILIES,
     ORDERS,
+    Coloring,
     StreamFormatError,
     first_occurrences,
     measure_max_degree,
@@ -129,8 +130,6 @@ def write_coloring_file(path: str, coloring: Coloring) -> None:
 
 
 def read_coloring_file(path: str, n: int) -> Coloring:
-    from .oracle import Coloring
-
     seen = np.zeros(n, dtype=bool)  # the vertices of the blocks read so far
     assignment = np.empty(n, dtype=np.int64)
     for vertex, color, lines in read_blocks(Path(path)):

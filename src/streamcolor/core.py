@@ -70,6 +70,18 @@ class StreamMeta:
     max_degree: int | None = None
 
 
+@dataclass
+class Coloring:
+    """Total vertex -> color assignment plus the palette it came from."""
+
+    assignment: list[int]
+    palette_size: int
+
+    @property
+    def colors_used(self) -> int:
+        return len(set(self.assignment)) if self.assignment else 0
+
+
 def id_dtype(n: int) -> np.dtype:
     """The narrowest of uint8, uint16 and uint32 that holds every vertex id
     in [0, n), else int64."""

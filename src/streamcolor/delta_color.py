@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_C, EdgeStream, first_occurrences, id_dtype, pair_codes
-from .oracle import Coloring
+from .core import DEFAULT_C, Coloring, EdgeStream, first_occurrences, id_dtype, pair_codes
 from .seeding import PHASE1, check_seed, rng_for
 
 

@@ -16,19 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_PAIR_N, EdgeStream, first_occurrences, id_dtype, pair_codes, run_firsts
-
-
-@dataclass
-class Coloring:
-    """Total vertex -> color assignment plus the palette it came from."""
-
-    assignment: list[int]
-    palette_size: int
-
-    @property
-    def colors_used(self) -> int:
-        return len(set(self.assignment)) if self.assignment else 0
+from .core import (
+    MAX_PAIR_N,
+    Coloring,
+    EdgeStream,
+    first_occurrences,
+    id_dtype,
+    pair_codes,
+    run_firsts,
+)
 
 
 @dataclass

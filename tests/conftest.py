@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from streamcolor import EdgeStream, GenSpec, generate
+from streamcolor.core import EdgeStream
+from streamcolor.corpus import GenSpec, generate
 
 # every graph here has n <= 20 so the brute-force arboricity oracle applies,
 # and at least one edge so the degeneracy sandwich is non-vacuous

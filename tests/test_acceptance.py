@@ -15,30 +15,31 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from streamcolor import (
-    EdgeStream,
-    GenSpec,
-    LayerPartition,
+from streamcolor.arb_color import (
+    derive_config,
+    offline_dag_color,
+    out_degree_profile,
+    per_class_out_bound,
+    run_arboricity_coloring,
+)
+from streamcolor.cli import main as cli_main
+from streamcolor.core import EdgeStream
+from streamcolor.corpus import GenSpec, generate
+from streamcolor.delta_color import (
     PhasePartition,
     class_count,
-    degeneracy,
-    derive_config,
-    generate,
-    greedy_color,
+    mono_degree_profile,
+    palette_size,
+    run_delta_coloring,
+)
+from streamcolor.oracle import degeneracy, greedy_color, nash_williams_arboricity, verify_proper
+from streamcolor.peel import (
+    LayerPartition,
     max_rounds_bound,
     measure_forward_degree,
-    nash_williams_arboricity,
-    offline_dag_color,
-    palette_size,
+    peel,
     peel_threshold,
-    run_arboricity_coloring,
-    run_delta_coloring,
-    verify_proper,
 )
-from streamcolor.arb_color import out_degree_profile, per_class_out_bound
-from streamcolor.cli import main as cli_main
-from streamcolor.delta_color import mono_degree_profile
-from streamcolor.peel import peel
 
 EPSILON = 0.5
 C = 1.0

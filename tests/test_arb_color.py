@@ -10,24 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor import (
-    EdgeStream,
-    GenSpec,
-    LayerPartition,
-    PeelStalled,
-    PhasePartition,
+from streamcolor.arb_color import (
     derive_config,
-    generate,
-    measure_max_degree,
-    nash_williams_arboricity,
     offline_dag_color,
-    peel_threshold,
+    out_degree_profile,
+    per_class_out_bound,
     run_arboricity_coloring,
-    verify_proper,
 )
-from streamcolor.arb_color import out_degree_profile, per_class_out_bound
-from streamcolor.core import id_dtype
-from streamcolor.peel import peel
+from streamcolor.core import EdgeStream, id_dtype, measure_max_degree
+from streamcolor.corpus import GenSpec, generate
+from streamcolor.delta_color import PhasePartition
+from streamcolor.oracle import nash_williams_arboricity, verify_proper
+from streamcolor.peel import LayerPartition, PeelStalled, peel, peel_threshold
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 

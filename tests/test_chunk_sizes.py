@@ -12,27 +12,18 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from streamcolor import (
+from streamcolor.arb_color import derive_config, run_arboricity_coloring
+from streamcolor.core import Coloring, EdgeStream, first_occurrences, measure_max_degree, pair_codes
+from streamcolor.corpus import GenSpec, generate
+from streamcolor.delta_color import (
     ColoringAborted,
-    Coloring,
-    EdgeStream,
-    GenSpec,
-    PeelStalled,
     PhasePartition,
     class_count,
-    derive_config,
-    generate,
-    measure_forward_degree,
-    measure_max_degree,
     palette_size,
-    peel_threshold,
-    repeat_counts,
-    run_arboricity_coloring,
     run_delta_coloring,
-    verify_proper,
 )
-from streamcolor.core import first_occurrences, pair_codes
-from streamcolor.peel import peel
+from streamcolor.oracle import repeat_counts, verify_proper
+from streamcolor.peel import PeelStalled, measure_forward_degree, peel, peel_threshold
 
 CHUNK_SIZES = (1, 7, None)  # None: the default chunk size
 

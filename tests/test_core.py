@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor import (
+from streamcolor import cli, core
+from streamcolor.core import (
+    MAX_PAIR_N,
     EdgeStream,
     StreamFormatError,
+    first_occurrences,
     measure_max_degree,
     open_stream,
-    run_delta_coloring,
+    pair_codes,
 )
-from streamcolor import cli, core
-from streamcolor.core import MAX_PAIR_N, first_occurrences, pair_codes
+from streamcolor.delta_color import run_delta_coloring
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 

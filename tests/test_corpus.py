@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor import EdgeStream, GenSpec, generate, shuffle_order
-from streamcolor.corpus import _forest_union, _gnm, _min_spanning_forest
+from streamcolor.core import EdgeStream
+from streamcolor.corpus import (
+    GenSpec,
+    _forest_union,
+    _gnm,
+    _min_spanning_forest,
+    generate,
+    shuffle_order,
+)
 from streamcolor.oracle import degeneracy, nash_williams_arboricity
 from streamcolor.seeding import GEN, rng_for
 

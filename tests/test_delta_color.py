@@ -13,21 +13,20 @@ import pytest
 from hypothesis import Phase, assume, event, given, settings
 from hypothesis import strategies as st
 
-from streamcolor import (
+from streamcolor import seeding
+from streamcolor.core import DEFAULT_C, EdgeStream, id_dtype
+from streamcolor.corpus import GenSpec, generate
+from streamcolor.delta_color import (
     ColoringAborted,
     DeltaRunMetrics,
-    EdgeStream,
-    GenSpec,
     PhasePartition,
     class_count,
-    generate,
+    mono_degree_profile,
     palette_size,
+    replay,
     run_delta_coloring,
-    verify_proper,
 )
-from streamcolor import seeding
-from streamcolor.core import id_dtype
-from streamcolor.delta_color import DEFAULT_C, mono_degree_profile, replay
+from streamcolor.oracle import verify_proper
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 

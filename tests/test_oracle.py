@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor import (
-    Coloring,
-    EdgeStream,
+from streamcolor.core import Coloring, EdgeStream, measure_max_degree
+from streamcolor.oracle import (
     degeneracy,
     greedy_color,
-    measure_max_degree,
     nash_williams_arboricity,
     repeat_counts,
     verify_proper,

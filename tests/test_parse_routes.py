@@ -25,8 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor import cli, core, open_stream
-from streamcolor.oracle import Coloring
+from streamcolor import cli, core
+from streamcolor.core import Coloring, open_stream
 
 ALPHABET = "0123456789 \n\t\r#-+x"
 
