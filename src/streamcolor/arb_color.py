@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_C, Coloring, EdgeStream, id_dtype, pair_codes, run_firsts
+from .core import DEFAULT_C, Coloring, EdgeStream, PeelStalled, id_dtype, pair_codes, run_firsts
 from .delta_color import PhasePartition, derived_count, validate_run_params
-from .peel import LayerPartition, PeelStalled, PeelState
+from .peel import LayerPartition, PeelState
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ Subcommands: gen, maxdeg, color-delta, peel, color-arb, verify, oracle, sweep.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 abort or stall. Metrics files are JSON with sorted keys; identical config
 plus seed reproduces byte-identical outputs.
+
+``main`` opens the edge stream ``-i`` of each command that reads one, and
+turns a ``ColoringAborted`` or ``PeelStalled`` into exit 3 and partial metrics.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .core import (
     FAMILIES,
     ORDERS,
     Coloring,
+    ColoringAborted,
+    PeelStalled,
     StreamFormatError,
     first_occurrences,
     measure_max_degree,
@@ -165,27 +170,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_maxdeg(args) -> int:
-    stream = open_stream(args.input)
+def cmd_maxdeg(args, stream) -> int:
     print(measure_max_degree(stream))
     return 0
 
 
-def _color(args, run, bound, failure, word: str, detail: str) -> int:
-    """Open the input, measure a ``None`` bound as the max degree, and run.
-
-    A ``failure`` prints ``{word}: ...``, writes the partial metrics and
-    returns 3; ``detail`` names the metrics field shown after ell."""
-    stream = open_stream(args.input)
-    if bound is None:
-        bound = measure_max_degree(stream)
-    try:
-        coloring, metrics = run(stream, bound, args.epsilon, args.c, args.seed)
-    except failure as exc:
-        print(f"{word}: {exc}", file=sys.stderr)
-        if args.metrics:
-            _write_json(args.metrics, asdict(exc.metrics))
-        return 3
+def _color(args, stream, run, bound, detail: str) -> int:
+    """Run, then write the coloring and metrics; ``detail`` is the field shown after ell."""
+    coloring, metrics = run(stream, bound, args.epsilon, args.c, args.seed)
     write_coloring_file(args.output, coloring)
     if args.metrics:
         _write_json(args.metrics, asdict(metrics))
@@ -196,37 +188,31 @@ def _color(args, run, bound, failure, word: str, detail: str) -> int:
     return 0
 
 
-def cmd_color_delta(args) -> int:
-    from .delta_color import ColoringAborted, run_delta_coloring
+def cmd_color_delta(args, stream) -> int:
+    from .delta_color import run_delta_coloring
 
-    return _color(args, run_delta_coloring, args.delta, ColoringAborted, "abort", "r")
+    delta = measure_max_degree(stream) if args.delta is None else args.delta
+    return _color(args, stream, run_delta_coloring, delta, "r")
 
 
-def cmd_peel(args) -> int:
-    from .peel import PeelStalled, peel
+def cmd_peel(args, stream) -> int:
+    from .peel import peel
 
-    stream = open_stream(args.input)
-    try:
-        lp = peel(stream, args.alpha, args.gamma)
-    except PeelStalled as exc:
-        print(f"stall: {exc}", file=sys.stderr)
-        return 3
+    lp = peel(stream, args.alpha, args.gamma)
     write_pairs(args.output, _indexed(lp.layer))
     print(f"peeled into k={lp.k} layers (threshold={lp.threshold}, passes={lp.k})")
     return 0
 
 
-def cmd_color_arb(args) -> int:
+def cmd_color_arb(args, stream) -> int:
     from .arb_color import run_arboricity_coloring
-    from .peel import PeelStalled
 
-    return _color(args, run_arboricity_coloring, args.alpha, PeelStalled, "stall", "k")
+    return _color(args, stream, run_arboricity_coloring, args.alpha, "k")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, stream) -> int:
     from .oracle import verify_proper
 
-    stream = open_stream(args.input)
     coloring = read_coloring_file(args.coloring, stream.n)
     violations = verify_proper(stream, coloring)
     if violations:
@@ -238,10 +224,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, stream) -> int:
     from .oracle import degeneracy, greedy_color, nash_williams_arboricity, repeat_counts
 
-    stream = open_stream(args.input)
     if args.which == "arboricity":
         print(nash_williams_arboricity(stream))
         return 0
@@ -282,7 +267,7 @@ def cmd_sweep(args) -> int:
 
 
 def _run_arguments(p: argparse.ArgumentParser, func) -> None:
-    """The arguments both coloring commands take after their input and bound."""
+    """The arguments both coloring commands take after their bound."""
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--c", type=float, default=DEFAULT_C)
     p.add_argument("--seed", type=int, default=0)
@@ -298,6 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Semi-streaming vertex coloring toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    reads = argparse.ArgumentParser(add_help=False)  # main opens its -i as the edge stream
+    reads.add_argument("-i", "--input", required=True)
+    reader = functools.partial(sub.add_parser, parents=[reads])
 
     p = sub.add_parser("gen", help="generate a corpus graph to an edge-list file")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -309,36 +297,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("maxdeg", help="measure max degree in one pass")
-    p.add_argument("-i", "--input", required=True)
+    p = reader("maxdeg", help="measure max degree in one pass")
     p.set_defaults(func=cmd_maxdeg)
 
-    p = sub.add_parser("color-delta", help="one-pass coloring within (1+eps)*Delta")
-    p.add_argument("-i", "--input", required=True)
+    p = reader("color-delta", help="one-pass coloring within (1+eps)*Delta")
     p.add_argument("--delta", type=int, default=None,
                    help="max-degree upper bound (measured in an extra pass when omitted)")
     _run_arguments(p, cmd_color_delta)
 
-    p = sub.add_parser("peel", help="degree-peel into layers, one pass per round")
-    p.add_argument("-i", "--input", required=True)
+    p = reader("peel", help="degree-peel into layers, one pass per round")
     p.add_argument("--alpha", type=int, required=True, help="arboricity upper bound")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("-o", "--output", required=True, help="layers file")
     p.set_defaults(func=cmd_peel)
 
-    p = sub.add_parser("color-arb", help="k-pass coloring within (2+eps)*alpha")
-    p.add_argument("-i", "--input", required=True)
+    p = reader("color-arb", help="k-pass coloring within (2+eps)*alpha")
     p.add_argument("--alpha", type=int, required=True, help="arboricity upper bound")
     _run_arguments(p, cmd_color_arb)
 
-    p = sub.add_parser("verify", help="check a coloring file against an edge stream")
-    p.add_argument("-i", "--input", required=True)
+    p = reader("verify", help="check a coloring file against an edge stream")
     p.add_argument("-c", "--coloring", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="offline ground-truth computations")
+    p = reader("oracle", help="offline ground-truth computations")
     p.add_argument("which", choices=("arboricity", "degeneracy", "greedy", "repeats"))
-    p.add_argument("-i", "--input", required=True)
     p.add_argument("--order", default="id", choices=("id", "reverse-degeneracy"),
                    help="vertex order for greedy")
     p.add_argument("-o", "--output", default=None, help="coloring file (greedy)")
@@ -357,7 +339,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            if "input" in args:
+                return args.func(args, open_stream(args.input))
+            return args.func(args)
+        except (ColoringAborted, PeelStalled) as exc:
+            word = "abort" if isinstance(exc, ColoringAborted) else "stall"
+            print(f"{word}: {exc}", file=sys.stderr)
+            if exc.metrics is not None and args.metrics:  # peel has neither
+                _write_json(args.metrics, asdict(exc.metrics))
+            return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

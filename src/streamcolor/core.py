@@ -63,11 +63,11 @@ class StreamFormatError(ValueError):
 
 @dataclass
 class StreamMeta:
-    """Facts about a stream: vertex count, edge count, optional max degree."""
+    """Facts about a stream: vertex count, edge count, max degree."""
 
     n: int
-    m: int | None = None
-    max_degree: int | None = None
+    m: int
+    max_degree: int
 
 
 @dataclass
@@ -80,6 +80,43 @@ class Coloring:
     @property
     def colors_used(self) -> int:
         return len(set(self.assignment)) if self.assignment else 0
+
+
+# a run's failures live beside Coloring, so cli.main catches them without loading the run
+class ColoringAborted(RuntimeError):
+    """A vertex needed a slot but its stored class neighbors held all r.
+
+    Carries the vertex, its class, its monochromatic degree at the moment of
+    the abort and the seed, so the run is reproducible. run_delta_coloring
+    always attaches the run's metrics at that moment as `metrics`.
+    """
+
+    def __init__(self, vertex: int, class_id: int, mono_degree: int, seed: int, metrics=None):
+        super().__init__(
+            f"palette exhausted at vertex {vertex} (class {class_id}, "
+            f"monochromatic degree {mono_degree}, seed {seed})"
+        )
+        self.vertex = vertex
+        self.class_id = class_id
+        self.mono_degree = mono_degree
+        self.seed = seed
+        self.metrics = metrics  # a delta_color.DeltaRunMetrics
+
+
+class PeelStalled(RuntimeError):
+    """A round removed nothing while active vertices remained (alpha too small)."""
+
+    def __init__(self, round_no: int, active_count: int, threshold: int, alpha, gamma: float):
+        super().__init__(
+            f"peeling stalled in round {round_no}: {active_count} active vertices "
+            f"all above threshold {threshold} (alpha={alpha}, gamma={gamma})"
+        )
+        self.round_no = round_no
+        self.active_count = active_count
+        self.threshold = threshold
+        self.alpha = alpha
+        self.gamma = gamma
+        self.metrics = None  # attached by run_arboricity_coloring
 
 
 def id_dtype(n: int) -> np.dtype:

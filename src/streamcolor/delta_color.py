@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_C, Coloring, EdgeStream, first_occurrences, id_dtype, pair_codes
+from .core import (
+    DEFAULT_C, Coloring, ColoringAborted, EdgeStream, first_occurrences, id_dtype, pair_codes,
+)
 from .seeding import PHASE1, check_seed, rng_for
 
 
@@ -95,26 +97,6 @@ class PhasePartition:
         out = np.zeros(self.ell, dtype=np.int64)
         np.maximum.at(out, self.class_of - 1, values)
         return out
-
-
-class ColoringAborted(RuntimeError):
-    """A vertex needed a slot but its stored class neighbors held all r.
-
-    Carries the vertex, its class, its monochromatic degree at the moment of
-    the abort and the seed, so the run is reproducible. run_delta_coloring
-    always attaches the run's metrics at that moment as `metrics`.
-    """
-
-    def __init__(self, vertex: int, class_id: int, mono_degree: int, seed: int, metrics=None):
-        super().__init__(
-            f"palette exhausted at vertex {vertex} (class {class_id}, "
-            f"monochromatic degree {mono_degree}, seed {seed})"
-        )
-        self.vertex = vertex
-        self.class_id = class_id
-        self.mono_degree = mono_degree
-        self.seed = seed
-        self.metrics: DeltaRunMetrics | None = metrics
 
 
 @dataclass

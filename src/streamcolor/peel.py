@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import EdgeStream, id_dtype
+from .core import EdgeStream, PeelStalled, id_dtype
 
 
 def peel_threshold(alpha: int | float, gamma: float) -> int:
@@ -41,22 +41,6 @@ def max_rounds_bound(n: int, gamma: float) -> int:
     """ceil(log2 n / log2((2+gamma)/2)): round ceiling on instances whose
     true arboricity is at most the alpha handed to peel. Valid for n >= 2."""
     return math.ceil(math.log2(n) / math.log2((2.0 + gamma) / 2.0))
-
-
-class PeelStalled(RuntimeError):
-    """A round removed nothing while active vertices remained (alpha too small)."""
-
-    def __init__(self, round_no: int, active_count: int, threshold: int, alpha, gamma: float):
-        super().__init__(
-            f"peeling stalled in round {round_no}: {active_count} active vertices "
-            f"all above threshold {threshold} (alpha={alpha}, gamma={gamma})"
-        )
-        self.round_no = round_no
-        self.active_count = active_count
-        self.threshold = threshold
-        self.alpha = alpha
-        self.gamma = gamma
-        self.metrics = None  # attached by run_arboricity_coloring
 
 
 @dataclass
@@ -110,8 +94,8 @@ class PeelState:
         both = self.active[u] & self.active[v]
         self.deg += np.bincount(np.concatenate((u[both], v[both])), minlength=self.n)
 
-    def finish_round(self) -> int:
-        """Peel everything at or under threshold; returns how many moved."""
+    def finish_round(self) -> None:
+        """Peel everything at or under threshold."""
         self.rounds += 1
         ids = np.flatnonzero(self.active)
         deg = self.deg[ids]
@@ -123,7 +107,6 @@ class PeelState:
         self.witnessed[gone] = deg[low]
         self.active[gone] = False
         self.deg[:] = 0
-        return len(gone)
 
     @property
     def active_count(self) -> int:
@@ -139,11 +122,11 @@ class PeelState:
             witnessed_degree=self.witnessed.tolist(),
         )
 
-    def run_round(self, stream: EdgeStream) -> int:
+    def run_round(self, stream: EdgeStream) -> None:
         """One pass of degree counting, then finish_round()."""
         for u, v in stream.pass_chunks():
             self.consume(u, v)
-        return self.finish_round()
+        self.finish_round()
 
 
 def peel(stream: EdgeStream, alpha: int | float, gamma: float) -> LayerPartition:

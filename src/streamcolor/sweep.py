@@ -12,10 +12,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .arb_color import derive_config, run_arboricity_coloring
-from .core import EdgeStream, StreamMeta
+from .core import ColoringAborted, EdgeStream, PeelStalled, StreamMeta
 from .corpus import GenSpec, generate
-from .delta_color import ColoringAborted, class_count, palette_size, run_delta_coloring
-from .peel import PeelStalled
+from .delta_color import class_count, palette_size, run_delta_coloring
 from .seeding import check_seed
 
 CSV_COLUMNS = [

@@ -17,11 +17,11 @@ from streamcolor.arb_color import (
     per_class_out_bound,
     run_arboricity_coloring,
 )
-from streamcolor.core import EdgeStream, id_dtype, measure_max_degree
+from streamcolor.core import EdgeStream, PeelStalled, id_dtype, measure_max_degree
 from streamcolor.corpus import GenSpec, generate
 from streamcolor.delta_color import PhasePartition
 from streamcolor.oracle import nash_williams_arboricity, verify_proper
-from streamcolor.peel import LayerPartition, PeelStalled, peel, peel_threshold
+from streamcolor.peel import LayerPartition, peel, peel_threshold
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 

@@ -13,17 +13,24 @@ import numpy as np
 import pytest
 
 from streamcolor.arb_color import derive_config, run_arboricity_coloring
-from streamcolor.core import Coloring, EdgeStream, first_occurrences, measure_max_degree, pair_codes
+from streamcolor.core import (
+    Coloring,
+    ColoringAborted,
+    EdgeStream,
+    PeelStalled,
+    first_occurrences,
+    measure_max_degree,
+    pair_codes,
+)
 from streamcolor.corpus import GenSpec, generate
 from streamcolor.delta_color import (
-    ColoringAborted,
     PhasePartition,
     class_count,
     palette_size,
     run_delta_coloring,
 )
 from streamcolor.oracle import repeat_counts, verify_proper
-from streamcolor.peel import PeelStalled, measure_forward_degree, peel, peel_threshold
+from streamcolor.peel import measure_forward_degree, peel, peel_threshold
 
 CHUNK_SIZES = (1, 7, None)  # None: the default chunk size
 

@@ -191,9 +191,26 @@ def test_maxdeg(k4_path, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
-def test_maxdeg_missing_file(tmp_path, capsys):
-    assert main(["maxdeg", "-i", str(tmp_path / "nope.txt")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+# each command that reads an edge stream, and the arguments it takes besides -i
+MISSING_INPUT = {
+    "maxdeg": [],
+    "color-delta": ["--epsilon", "0.5", "-o", "{out}", "--metrics", "{out}.json"],
+    "peel": ["--alpha", "1", "--gamma", "0.5", "-o", "{out}"],
+    "color-arb": ["--alpha", "1", "--epsilon", "0.5", "-o", "{out}", "--metrics", "{out}.json"],
+    "verify": ["-c", "{coloring}"],
+    "oracle greedy": ["-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", MISSING_INPUT)
+def test_maxdeg_missing_file(tmp_path, capsys, command):
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_text("0 0\n")
+    rest = [arg.format(out=tmp_path / "out", coloring=coloring) for arg in MISSING_INPUT[command]]
+    assert main([*command.split(), "-i", str(tmp_path / "nope.txt"), *rest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope.txt" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["coloring.txt"]
 
 
 def test_maxdeg_header_too_large_to_allocate(tmp_path, capsys):
@@ -446,6 +463,26 @@ def test_color_arb_stall_writes_partial_metrics(c5_path, tmp_path, capsys):
     assert payload["stalled"] is True
     assert payload["k"] == 1
     assert payload["colors_used"] == 0
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["color-delta", "-i", "{k4}", "--delta", "0", "--epsilon", "100", "--c", "0.1"],
+     "abort: palette exhausted"),
+    (["color-arb", "-i", "{c5}", "--alpha", "0", "--epsilon", "0.5"], "stall: peeling stalled"),
+], ids=["color-delta-abort", "color-arb-stall"])
+def test_failed_run_whose_metrics_cannot_be_written_exits_2(
+    k4_path, c5_path, tmp_path, capsys, argv, first
+):
+    col = tmp_path / "col.txt"
+    code = main([
+        *(arg.format(k4=k4_path, c5=c5_path) for arg in argv),
+        "-o", str(col), "--metrics", str(tmp_path / "missing" / "met.json"),
+    ])
+    assert code == 2
+    assert not col.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(first)
+    assert lines[1].startswith("error:")
 
 
 def test_oracle_arboricity_and_degeneracy(tmp_path, capsys):

@@ -14,10 +14,9 @@ from hypothesis import Phase, assume, event, given, settings
 from hypothesis import strategies as st
 
 from streamcolor import seeding
-from streamcolor.core import DEFAULT_C, EdgeStream, id_dtype
+from streamcolor.core import DEFAULT_C, ColoringAborted, EdgeStream, id_dtype
 from streamcolor.corpus import GenSpec, generate
 from streamcolor.delta_color import (
-    ColoringAborted,
     DeltaRunMetrics,
     PhasePartition,
     class_count,

@@ -20,11 +20,10 @@ import pytest
 
 from streamcolor import core
 from streamcolor.arb_color import run_arboricity_coloring
-from streamcolor.core import Coloring, EdgeStream, measure_max_degree
+from streamcolor.core import Coloring, ColoringAborted, EdgeStream, PeelStalled, measure_max_degree
 from streamcolor.corpus import GenSpec, generate
-from streamcolor.delta_color import ColoringAborted, class_count, run_delta_coloring
+from streamcolor.delta_color import class_count, run_delta_coloring
 from streamcolor.oracle import verify_proper
-from streamcolor.peel import PeelStalled
 
 # ids widen past n = 256 and 65536; pair codes are uint32 up to n = 65536
 # (65536**2 - 1 fits) and int64 from 65537 on

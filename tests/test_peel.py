@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor.core import EdgeStream
+from streamcolor.core import EdgeStream, PeelStalled
 from streamcolor.corpus import GenSpec, generate
 from streamcolor.peel import (
     LayerPartition,
-    PeelStalled,
     PeelState,
     max_rounds_bound,
     measure_forward_degree,
